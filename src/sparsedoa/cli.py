@@ -145,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp = commands.add_parser("sweep", help="Monte-Carlo RMSE sweep to CSV")
     swp.add_argument("--config", required=True, help="JSON experiment config")
     swp.add_argument("--out", required=True, help="output CSV path")
-    swp.add_argument("--workers", type=int, default=1, help="process count (default 1)")
+    swp.add_argument("--workers", type=int, default=1,
+                     help="processes sharing the (geometry, SNR) groups (default 1)")
     swp.add_argument("--seed", type=int, help="override the config seed")
     swp.set_defaults(func=_cmd_sweep)
     return parser

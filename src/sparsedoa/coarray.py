@@ -166,14 +166,11 @@ class SubspaceDecomposition:
 
 
 def _fix_vector_phases(vectors: np.ndarray) -> np.ndarray:
-    fixed = np.array(vectors)
-    for k in range(fixed.shape[1]):
-        col = fixed[:, k]
-        magnitudes = np.abs(col)
-        anchor = int(np.argmax(magnitudes > 1e-12 * magnitudes.max()))
-        phase = col[anchor] / magnitudes[anchor]
-        fixed[:, k] = col * np.conj(phase)
-    return fixed
+    magnitudes = np.abs(vectors)
+    anchors = np.argmax(magnitudes > 1e-12 * magnitudes.max(axis=0), axis=0)
+    columns = np.arange(vectors.shape[1])
+    phases = vectors[anchors, columns] / magnitudes[anchors, columns]
+    return vectors * np.conj(phases)
 
 
 def signal_subspace(covariance, n_sources: int) -> SubspaceDecomposition:

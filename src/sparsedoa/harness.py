@@ -9,16 +9,25 @@ Reproducibility works through keyed substreams: every trial draws from a
 bit pattern, trial index).  The algorithm is deliberately not part of the
 key, so competing algorithms see identical data in matched trials, and the
 worker count never changes any draw.
+
+A sweep simulates and decomposes each keyed draw once and shares it with
+every algorithm: it walks (geometry, SNR) groups, runs all algorithms of a
+trial back to back, and ``run_trial`` reads the draw from a one-entry memo.
+``gmusic`` reuses the draw's covariances, while ``gca`` and ``avca`` also
+share its coarray signals, smoothed covariances and subspaces.  Parallel
+sweeps spread the (geometry, SNR) groups over worker processes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -65,6 +74,28 @@ ALGORITHMS = ("gca", "gmusic", "avca")
 _GEOMETRY_KINDS = ("ula", "naq2", "snaq2", "mra")
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an int; bools and floats are rejected, naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _sequence(key: str, values) -> tuple:
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValueError(f"{key!r} must be a list, got {values!r}")
+    return tuple(values)
+
+
+def _finite_reals(key: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of finite floats, naming ``key`` if any is not."""
+    values = _sequence(key, values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ValueError(f"{key!r} must hold finite numbers, got {v!r}")
+    return tuple(float(v) for v in values)
+
+
 @dataclass(frozen=True)
 class GeometrySpec:
     """Named recipe for a subarray geometry.
@@ -87,6 +118,9 @@ class GeometrySpec:
         else:
             if self.n1 is None or self.n2 is None or self.n is not None:
                 raise ValueError(f"{self.kind} takes nesting levels 'n1' and 'n2'")
+        for key in ("n", "n1", "n2"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _integer(key, getattr(self, key)))
 
     @property
     def label(self) -> str:
@@ -100,13 +134,13 @@ class GeometrySpec:
         parts = label.split("-")
         kind = parts[0]
         try:
-            numbers = [int(p) for p in parts[1:]]
+            sizes = [int(p) for p in parts[1:]]
         except ValueError:
             raise ValueError(f"malformed geometry label {label!r}") from None
-        if kind in ("ula", "mra") and len(numbers) == 1:
-            return cls(kind, n=numbers[0])
-        if kind in ("naq2", "snaq2") and len(numbers) == 2:
-            return cls(kind, n1=numbers[0], n2=numbers[1])
+        if kind in ("ula", "mra") and len(sizes) == 1:
+            return cls(kind, n=sizes[0])
+        if kind in ("naq2", "snaq2") and len(sizes) == 2:
+            return cls(kind, n1=sizes[0], n2=sizes[1])
         raise ValueError(f"malformed geometry label {label!r}")
 
     @classmethod
@@ -116,7 +150,10 @@ class GeometrySpec:
         if isinstance(value, str):
             return cls.parse(value)
         if isinstance(value, dict):
-            return cls(**value)
+            try:
+                return cls(**value)
+            except TypeError:
+                pass
         raise ValueError(f"cannot interpret geometry {value!r}")
 
     def build(self) -> ArrayGeometry:
@@ -152,6 +189,16 @@ _CONFIG_KEYS = {
     "refine_peaks",
 }
 
+# Integer config fields and their smallest accepted values.
+_INTEGER_MINIMUMS = {
+    "n_subarrays": 1,
+    "spacing": 1,
+    "snapshots": 1,
+    "trials": 1,
+    "seed": 0,
+    "grid_size": 3,
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -173,12 +220,15 @@ class ExperimentConfig:
     refine_peaks: bool = True
 
     def __post_init__(self):
+        # The config keys the draw memo, so every field is checked and
+        # normalised to a plain hashable value here.
+        geometries = _sequence("geometries", self.geometries)
         object.__setattr__(
-            self, "geometries", tuple(GeometrySpec.from_value(g) for g in self.geometries)
+            self, "geometries", tuple(GeometrySpec.from_value(g) for g in geometries)
         )
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        object.__setattr__(self, "thetas", _finite_reals("thetas", self.thetas))
+        object.__setattr__(self, "snr_db_list", _finite_reals("snr_db_list", self.snr_db_list))
+        object.__setattr__(self, "algorithms", _sequence("algorithms", self.algorithms))
         if not self.geometries:
             raise ValueError("need at least one geometry")
         if not self.snr_db_list:
@@ -188,15 +238,19 @@ class ExperimentConfig:
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
-        if self.n_subarrays < 1:
-            raise ValueError("need at least one subarray")
-        if self.spacing < 1:
-            raise ValueError("subarray spacing must be at least 1")
-        if self.snapshots < 1:
-            raise ValueError("need at least one snapshot")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        # Source ordering/range/count checks live in SourceSet.
+        for key, minimum in _INTEGER_MINIMUMS.items():
+            value = _integer(key, getattr(self, key))
+            if value < minimum:
+                raise ValueError(f"{key!r} must be at least {minimum}, got {value}")
+            object.__setattr__(self, key, value)
+        for key in ("exact", "refine_peaks"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValueError(f"{key!r} must be true or false, got {getattr(self, key)!r}")
+        (power,) = _finite_reals("source_power", [self.source_power])
+        object.__setattr__(self, "source_power", power)
+        if self.dedup_rule not in ("average", "first"):
+            raise ValueError(f"unknown dedup rule {self.dedup_rule!r}")
+        # Source ordering/range/count/power checks live in SourceSet.
         SourceSet.equal_power(self.thetas, power=self.source_power)
 
     @property
@@ -237,13 +291,13 @@ class ExperimentConfig:
         if isinstance(algorithms, str):
             algorithms = [algorithms]
         kwargs = {
-            "geometries": tuple(GeometrySpec.from_value(g) for g in geometries),
+            "geometries": geometries,
             "n_subarrays": pick("L", "n_subarrays", required=True),
             "spacing": pick("mu", "spacing", default=1),
-            "thetas": tuple(pick("thetas", required=True)),
+            "thetas": pick("thetas", required=True),
             "snapshots": pick("snapshots", "T", default=100),
-            "snr_db_list": tuple(snrs),
-            "algorithms": tuple(algorithms),
+            "snr_db_list": snrs,
+            "algorithms": algorithms,
         }
         for key in ("trials", "seed", "grid_size", "dedup_rule", "exact",
                     "source_power", "refine_peaks"):
@@ -294,11 +348,15 @@ class RmseCurve:
     rmse: float
 
 
+def _snr_bits(snr_db: float) -> int:
+    (bits,) = struct.unpack("<Q", struct.pack("<d", float(snr_db)))
+    return bits
+
+
 def trial_seed_sequence(seed, geometry_index: int, snr_db: float, trial_index: int):
     """Substream for one trial, keyed so matched trials share data."""
-    (snr_bits,) = struct.unpack("<Q", struct.pack("<d", float(snr_db)))
     return np.random.SeedSequence(
-        entropy=seed, spawn_key=(geometry_index, snr_bits, trial_index)
+        entropy=seed, spawn_key=(geometry_index, _snr_bits(snr_db), trial_index)
     )
 
 
@@ -317,24 +375,72 @@ def rmse(squared_errors, n_sources: int) -> float:
     return float(np.sqrt(np.sum(errors) / (n_sources * len(errors))))
 
 
-def _trial_covariances(config, layout, sources, noise_power, snr_db,
-                       trial_index, geometry_index):
+@dataclass(frozen=True)
+class _Draw:
+    """One keyed draw: the data every algorithm of a matched trial sees.
+
+    Its arrays are read-only because several trials share them.  The
+    coarray stage is computed on first use, so ``gca`` and ``avca`` share
+    one eigendecomposition per subarray and ``gmusic`` never pays for it.
+    """
+
+    base: ArrayGeometry
+    layout: TypeIILayout
+    sources: SourceSet
+    covariances: tuple[np.ndarray, ...]
+    dedup_rule: str
+
+    @cached_property
+    def coarray_stage(self) -> tuple[tuple, tuple, tuple]:
+        """Per subarray: coarray signals, smoothed covariances, subspaces."""
+        signals = tuple(
+            covariance_to_coarray(r, self.base, rule=self.dedup_rule) for r in self.covariances
+        )
+        smoothed = tuple(spatial_smooth(sig, subarray_index=l) for l, sig in enumerate(signals))
+        subspaces = tuple(signal_subspace(s, self.sources.count) for s in smoothed)
+        _read_only(*(sig.values for sig in signals), *(s.matrix for s in smoothed))
+        for s in subspaces:
+            _read_only(s.signal_basis, s.noise_basis, s.eigenvalues)
+        return signals, smoothed, subspaces
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
+@lru_cache(maxsize=1)
+def _draw(config: ExperimentConfig, snr_bits: int, trial_index: int,
+          geometry_index: int) -> _Draw:
+    """The keyed draw of one trial; the memo holds only the draw in flight.
+
+    The SNR enters the key as its bit pattern, as it does the substream key:
+    0.0 and -0.0 compare equal but seed different draws.
+    """
+    (snr_db,) = struct.unpack("<d", struct.pack("<Q", snr_bits))
+    base = config.geometries[geometry_index].build()
+    layout = compose_type2(base, config.n_subarrays, config.spacing)
+    sources = config.source_set()
+    noise_power = noise_power_for_snr(snr_db, signal_power=config.source_power)
     if config.exact:
-        return tuple(
+        covariances = tuple(
             exact_covariance(layout.subarray_positions(l), sources, noise_power)
             for l in range(layout.n_subarrays)
         )
-    scenario = Scenario(
-        layout=layout,
-        sources=sources,
-        noise_power=noise_power,
-        snapshots=config.snapshots,
-    )
-    rng = np.random.default_rng(
-        trial_seed_sequence(config.seed, geometry_index, snr_db, trial_index)
-    )
-    batch = simulate_snapshots(scenario, rng=rng)
-    return tuple(sample_covariance(x) for x in batch.matrices)
+    else:
+        scenario = Scenario(
+            layout=layout,
+            sources=sources,
+            noise_power=noise_power,
+            snapshots=config.snapshots,
+        )
+        rng = np.random.default_rng(
+            trial_seed_sequence(config.seed, geometry_index, snr_db, trial_index)
+        )
+        batch = simulate_snapshots(scenario, rng=rng)
+        covariances = tuple(sample_covariance(x) for x in batch.matrices)
+    _read_only(*covariances)
+    return _Draw(base, layout, sources, covariances, config.dedup_rule)
 
 
 def run_trial(
@@ -347,6 +453,10 @@ def run_trial(
 ) -> TrialResult:
     """Run one trial end to end and score it against the true directions.
 
+    Consecutive calls for the same draw (same config, SNR, trial and
+    geometry index; any algorithm) reuse its covariances and, for the
+    coarray algorithms, its subspaces.
+
     Returns a :class:`TrialResult` whose ``squared_error`` is ``None`` when
     the spectrum produced fewer peaks than sources (a degraded estimate).
     Identifiability violations propagate as :class:`TooManySourcesError` or
@@ -357,30 +467,19 @@ def run_trial(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if not 0 <= geometry_index < len(config.geometries):
         raise ValueError(f"geometry index {geometry_index} out of range")
-    base = config.geometries[geometry_index].build()
-    layout = compose_type2(base, config.n_subarrays, config.spacing)
-    sources = config.source_set()
-    noise_power = noise_power_for_snr(snr_db, signal_power=config.source_power)
-    d = sources.count
-    covariances = _trial_covariances(
-        config, layout, sources, noise_power, snr_db, trial_index, geometry_index
-    )
+    draw = _draw(config, _snr_bits(snr_db), trial_index, geometry_index)
+    d = draw.sources.count
 
     coarray_signals = ()
     smoothed = ()
     subspaces = ()
     if algorithm == "gmusic":
         spectrum, estimate = g_music(
-            covariances, layout, d, grid_size=config.grid_size, refine=config.refine_peaks
+            draw.covariances, draw.layout, d,
+            grid_size=config.grid_size, refine=config.refine_peaks,
         )
     else:
-        coarray_signals = tuple(
-            covariance_to_coarray(r, base, rule=config.dedup_rule) for r in covariances
-        )
-        smoothed = tuple(
-            spatial_smooth(sig, subarray_index=l) for l, sig in enumerate(coarray_signals)
-        )
-        subspaces = tuple(signal_subspace(s, d) for s in smoothed)
+        coarray_signals, smoothed, subspaces = draw.coarray_stage
         runner = gca_music if algorithm == "gca" else avca_music
         spectrum, estimate = runner(
             subspaces, d, grid_size=config.grid_size, refine=config.refine_peaks
@@ -389,47 +488,64 @@ def run_trial(
     if estimate.degraded:
         squared_error = None
     else:
-        truth = np.sort(sources.theta_array)
+        truth = np.sort(draw.sources.theta_array)
         squared_error = float(np.sum((np.sort(estimate.thetas) - truth) ** 2))
     artifacts = None
     if collect:
-        artifacts = TrialArtifacts(covariances, coarray_signals, smoothed, subspaces, spectrum)
+        artifacts = TrialArtifacts(
+            draw.covariances, coarray_signals, smoothed, subspaces, spectrum
+        )
     return TrialResult(estimate, squared_error, artifacts)
 
 
-def _run_cell(config: ExperimentConfig, cell) -> RmseCurve:
-    """All trials for one (geometry, algorithm, SNR) cell, in trial order."""
-    geometry_index, algorithm, snr_db = cell
-    errors = []
-    failures = 0
+def _run_group(config: ExperimentConfig, group) -> list[RmseCurve]:
+    """All trials at one (geometry index, SNR index) point: a row per algorithm.
+
+    Each trial runs every algorithm back to back, so all of them read the
+    draw that ``run_trial`` memoised for the first.
+    """
+    geometry_index, snr_index = group
+    snr_db = config.snr_db_list[snr_index]
+    _draw.cache_clear()  # a sweep reuses no draw from earlier calls
+    errors = [[] for _ in config.algorithms]
+    failures = [0] * len(config.algorithms)
     for trial_index in range(config.trials):
-        try:
-            result = run_trial(config, snr_db, algorithm, trial_index, geometry_index)
-        except (TooManySourcesError, DegenerateCoarrayError):
-            failures += 1
-            continue
-        if result.failed:
-            failures += 1
-        else:
-            errors.append(result.squared_error)
-    return RmseCurve(
-        geometry=config.geometries[geometry_index].label,
-        algorithm=algorithm,
-        snr_db=snr_db,
-        trials=config.trials,
-        failures=failures,
-        rmse=rmse(errors, config.n_sources),
-    )
+        for position, algorithm in enumerate(config.algorithms):
+            try:
+                result = run_trial(config, snr_db, algorithm, trial_index, geometry_index)
+            except (TooManySourcesError, DegenerateCoarrayError):
+                failures[position] += 1
+                continue
+            if result.failed:
+                failures[position] += 1
+            else:
+                errors[position].append(result.squared_error)
+    label = config.geometries[geometry_index].label
+    return [
+        RmseCurve(
+            geometry=label,
+            algorithm=algorithm,
+            snr_db=snr_db,
+            trials=config.trials,
+            failures=failures[position],
+            rmse=rmse(errors[position], config.n_sources),
+        )
+        for position, algorithm in enumerate(config.algorithms)
+    ]
 
 
 def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[RmseCurve]:
     """Run every (geometry, algorithm, SNR) cell of the config.
 
-    Cells are independent, so they parallelize across processes without
-    changing any number: each trial's randomness is keyed by its coordinates
-    alone.  Results come back in config order (geometry, then algorithm,
-    then SNR).  When ``out_path`` is given the CSV is written there; the
-    file is opened before any computation so a bad path fails fast.
+    The sweep walks (geometry, SNR) groups.  Within a group each trial's
+    draw is simulated and decomposed once and shared by every algorithm, so
+    matched trials see identical data.  Groups are independent, so
+    ``workers`` spreads them over processes without changing any number:
+    each trial's randomness is keyed by its coordinates alone.  Results
+    come back in config order (geometry, then algorithm, then SNR), one row
+    per position, so repeated labels, algorithms or SNRs each keep their
+    own row.  When ``out_path`` is given the CSV is written there; the file
+    is opened before any computation so a bad path fails fast.
 
     Args:
         config: experiment description.
@@ -439,20 +555,24 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
     Returns:
         One :class:`RmseCurve` per cell.
     """
-    cells = [
-        (gi, algorithm, snr)
-        for gi in range(len(config.geometries))
-        for algorithm in config.algorithms
-        for snr in config.snr_db_list
-    ]
+    geometry_indices = range(len(config.geometries))
+    snr_indices = range(len(config.snr_db_list))
+    groups = [(gi, si) for gi in geometry_indices for si in snr_indices]
     handle = open(out_path, "w", newline="") if out_path is not None else None
     try:
-        runner = partial(_run_cell, config)
+        runner = partial(_run_group, config)
         if workers <= 1:
-            curves = [runner(cell) for cell in cells]
+            rows = [runner(group) for group in groups]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                curves = list(pool.map(runner, cells))
+                rows = list(pool.map(runner, groups))
+        by_group = dict(zip(groups, rows))
+        curves = [
+            by_group[gi, si][position]
+            for gi in geometry_indices
+            for position in range(len(config.algorithms))
+            for si in snr_indices
+        ]
         if handle is not None:
             _write_rows(handle, curves)
     finally:

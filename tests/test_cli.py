@@ -137,6 +137,23 @@ class TestSweepCommand:
         capsys.readouterr()
         assert out_a.read_text() != out_b.read_text()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("trials", 2.5), ("trials", True), ("snapshots", 50.5), ("grid_size", 501.0),
+         ("exact", "no"), ("refine_peaks", "false"), ("thetas", [float("nan")]),
+         ("snr_sweep", [float("nan")])],
+    )
+    def test_mistyped_config_exits_one(self, capsys, config_path, tmp_path, key, value):
+        data = json.loads(config_path.read_text())
+        data[key] = value
+        config_path.write_text(json.dumps(data))
+        out_csv = tmp_path / "curves.csv"
+        code = main(["sweep", "--config", str(config_path), "--out", str(out_csv)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert not out_csv.exists()
+
     def test_bad_output_path_exits_one(self, capsys, config_path, tmp_path):
         code = main(["sweep", "--config", str(config_path),
                      "--out", str(tmp_path / "missing" / "x.csv")])

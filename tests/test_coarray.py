@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsedoa.coarray import (
+    _fix_vector_phases,
     covariance_to_coarray,
     signal_subspace,
     spatial_smooth,
@@ -16,6 +17,18 @@ from sparsedoa.sigmodel import (
     sample_covariance,
     steering_matrix,
 )
+
+
+def fix_vector_phases_reference(vectors):
+    """Column-by-column phase convention, the reference for the vectorised one."""
+    fixed = np.array(vectors)
+    for k in range(fixed.shape[1]):
+        col = fixed[:, k]
+        magnitudes = np.abs(col)
+        anchor = int(np.argmax(magnitudes > 1e-12 * magnitudes.max()))
+        phase = col[anchor] / magnitudes[anchor]
+        fixed[:, k] = col * np.conj(phase)
+    return fixed
 
 
 def coarray_value_oracle(lag, sources, noise_power):
@@ -179,6 +192,21 @@ class TestSignalSubspace:
         for col, row in enumerate(anchors):
             assert u1[row, col].imag == pytest.approx(0.0, abs=1e-14)
             assert u1[row, col].real > 0
+
+    def test_phase_fix_matches_column_loop_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for case in range(400):
+            n = int(rng.integers(7, 31))
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            hermitian = a @ a.conj().T
+            if case % 5 == 0:
+                # Zero first row: every eigenvector but one anchors further down.
+                hermitian[0, :] = 0.0
+                hermitian[:, 0] = 0.0
+            vectors = np.linalg.eigh(hermitian)[1][:, ::-1]
+            assert np.array_equal(
+                _fix_vector_phases(vectors), fix_vector_phases_reference(vectors)
+            )
 
     def test_rejects_too_many_sources(self):
         smoothed, _ = self.make_smoothed()

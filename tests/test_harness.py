@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from sparsedoa.errors import TooManySourcesError
+from sparsedoa import harness
+from sparsedoa.errors import DegenerateCoarrayError, TooManySourcesError
 from sparsedoa.harness import (
     RMSE_SENTINEL,
     ExperimentConfig,
@@ -61,6 +62,20 @@ class TestGeometrySpec:
             GeometrySpec("ula", n1=3, n2=2)
         with pytest.raises(ValueError):
             GeometrySpec("naq2", n=7)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("n", {"kind": "ula", "n": 7.0}), ("n", {"kind": "mra", "n": True}),
+         ("n1", {"kind": "naq2", "n1": 4.5, "n2": 3}),
+         ("n2", {"kind": "snaq2", "n1": 4, "n2": "3"})],
+    )
+    def test_sizes_must_be_integers(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            GeometrySpec.from_value(value)
+
+    def test_unknown_dict_keys_are_value_errors(self):
+        with pytest.raises(ValueError, match="cannot interpret geometry"):
+            GeometrySpec.from_value({"kind": "ula", "sensors": 7})
 
 
 class TestExperimentConfig:
@@ -128,6 +143,56 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(thetas=(0.5, -0.5))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("trials", 2.5), ("trials", True), ("snapshots", 50.5), ("grid_size", 501.0),
+         ("n_subarrays", 3.0), ("spacing", False), ("seed", 1.5), ("seed", "7"),
+         ("seed", -1), ("grid_size", 2)],
+    )
+    def test_integer_fields_are_strict(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            small_config(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key,value", [("exact", "no"), ("exact", 1), ("refine_peaks", "false")]
+    )
+    def test_flags_must_be_booleans(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            small_config(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("thetas", (-0.5, float("nan"))), ("thetas", ("0.5",)), ("thetas", 0.5),
+         ("snr_db_list", (float("nan"),)), ("snr_db_list", (float("inf"),)),
+         ("source_power", float("nan")), ("source_power", float("inf"))],
+    )
+    def test_reals_must_be_finite_numbers(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            small_config(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key,value,field",
+        [("trials", 2.5, "trials"), ("trials", True, "trials"),
+         ("snapshots", 50.5, "snapshots"), ("grid_size", 501.0, "grid_size"),
+         ("exact", "no", "exact"), ("refine_peaks", "false", "refine_peaks"),
+         ("thetas", [float("nan")], "thetas"), ("snr_db", [float("nan")], "snr_db_list"),
+         ("geometry", 7, "geometries"), ("algorithms", 5, "algorithms")],
+    )
+    def test_from_dict_rejects_mistyped_values(self, key, value, field):
+        data = {"geometry": "naq2-4-3", "L": 3, "thetas": [-0.5, 0.5], "snr_db": 0}
+        data[key] = value
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            ExperimentConfig.from_dict(data)
+
+    def test_rejects_unknown_dedup_rule(self):
+        with pytest.raises(ValueError, match="dedup rule"):
+            small_config(dedup_rule="median")
+
+    def test_numpy_integers_become_ints(self):
+        config = small_config(trials=np.int64(3), seed=np.uint8(5))
+        assert type(config.trials) is int and type(config.seed) is int
+        assert config == small_config(trials=3, seed=5)
+
 
 class TestRmse:
     def test_reference_value(self):
@@ -175,6 +240,20 @@ class TestRunTrial:
             for r1, r2 in zip(reference, collected[name].artifacts.covariances):
                 assert np.array_equal(r1, r2)
 
+    @pytest.mark.parametrize("algorithm", ["gca", "gmusic"])
+    def test_memoised_arrays_are_read_only(self, algorithm):
+        config = small_config(thetas=(-0.5, 0.5))
+        artifacts = run_trial(config, 10.0, algorithm, 0, collect=True).artifacts
+        shared = [*artifacts.covariances,
+                  *(s.values for s in artifacts.coarray_signals),
+                  *(s.matrix for s in artifacts.smoothed),
+                  *(s.signal_basis for s in artifacts.subspaces),
+                  *(s.eigenvalues for s in artifacts.subspaces)]
+        assert len(shared) == (3 if algorithm == "gmusic" else 15)
+        for array in shared:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
     def test_collect_gathers_artifacts(self):
         config = small_config()
         result = run_trial(config, 10.0, "gca", 0, collect=True)
@@ -209,6 +288,82 @@ class TestRunTrial:
             run_trial(config, 10.0, "esprit", 0)
         with pytest.raises(ValueError):
             run_trial(config, 10.0, "gca", 0, geometry_index=5)
+
+
+def cell_reference(config, geometry_index, algorithm, snr_db):
+    """One (geometry, algorithm, SNR) cell computed on its own, trial by trial."""
+    errors = []
+    failures = 0
+    for trial_index in range(config.trials):
+        try:
+            result = run_trial(config, snr_db, algorithm, trial_index, geometry_index)
+        except (TooManySourcesError, DegenerateCoarrayError):
+            failures += 1
+            continue
+        if result.failed:
+            failures += 1
+        else:
+            errors.append(result.squared_error)
+    return RmseCurve(config.geometries[geometry_index].label, algorithm, snr_db,
+                     config.trials, failures, rmse(errors, config.n_sources))
+
+
+def cell_references(config):
+    return [
+        cell_reference(config, gi, algorithm, snr)
+        for gi in range(len(config.geometries))
+        for algorithm in config.algorithms
+        for snr in config.snr_db_list
+    ]
+
+
+class TestDrawSharing:
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        calls = {"simulate": 0, "subspace": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "simulate_snapshots",
+                            counted("simulate", harness.simulate_snapshots))
+        monkeypatch.setattr(harness, "signal_subspace",
+                            counted("subspace", harness.signal_subspace))
+        return calls
+
+    def test_each_draw_is_simulated_and_decomposed_once(self, counters):
+        config = small_config(algorithms=("gca", "gmusic", "avca"),
+                              snr_db_list=(0.0, 10.0), trials=2)
+        curves = sweep(config)
+        draws = len(config.snr_db_list) * config.trials
+        assert counters == {"simulate": draws, "subspace": draws * config.n_subarrays}
+        assert curves == cell_references(config)
+
+    def test_repeated_sweeps_reuse_nothing(self, counters):
+        config = small_config(snr_db_list=(10.0,), trials=1)
+        assert sweep(config) == sweep(config)
+        assert counters["simulate"] == 2
+
+    def test_repeated_positions_keep_their_own_rows(self):
+        config = small_config(geometries=("ula-7", "naq2-4-3", "ula-7"),
+                              algorithms=("gca", "avca", "gca"),
+                              snr_db_list=(10.0, 0.0, 10.0), trials=2)
+        curves = sweep(config)
+        assert curves == cell_references(config)
+        assert [c.geometry for c in curves[::9]] == ["ula-7", "naq2-4-3", "ula-7"]
+        # Same label, different geometry index: a different keyed draw.
+        assert curves[0].rmse != curves[18].rmse
+        # Repeated algorithm and SNR positions repeat their numbers.
+        assert curves[0] == curves[6] and curves[0] == curves[2]
+
+    def test_signed_zero_snrs_draw_different_data(self):
+        config = small_config(snr_db_list=(0.0, -0.0), trials=1)
+        curves = sweep(config)
+        assert curves == cell_references(config)
+        assert curves[0].rmse != curves[1].rmse
 
 
 class TestSweep:
