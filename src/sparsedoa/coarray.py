@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateCoarrayError, TooManySourcesError
-from .geometry import ArrayGeometry
+from .geometry import _as_positions, _contiguous_half
 
 __all__ = [
     "CoarraySignal",
@@ -42,11 +42,7 @@ class CoarraySignal:
 
     @cached_property
     def contiguous_half(self) -> int:
-        lag_set = set(self.lags)
-        c = 0
-        while (c + 1) in lag_set and -(c + 1) in lag_set:
-            c += 1
-        return c
+        return _contiguous_half(set(self.lags))
 
     def value_at(self, lag: int) -> complex:
         return complex(self.values[self.lags.index(int(lag))])
@@ -77,11 +73,7 @@ def covariance_to_coarray(covariance, geometry, rule: str = "average") -> Coarra
     """
     if rule not in ("average", "first"):
         raise ValueError(f"unknown dedup rule {rule!r}")
-    pos = (
-        geometry.position_array()
-        if isinstance(geometry, ArrayGeometry)
-        else np.asarray(list(geometry), dtype=np.int64)
-    )
+    pos = _as_positions(geometry)
     r = np.asarray(covariance)
     n = pos.size
     if r.shape != (n, n):

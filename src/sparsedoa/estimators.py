@@ -4,12 +4,21 @@ All estimators score candidate directions on a uniform grid over [-1, 1) by
 how close a steering vector comes to the span of per-subarray signal
 subspaces, then read off the largest spectrum peaks.
 
-``gca_music`` merges the subarrays in the coarray domain: the per-subarray
-signal-subspace projectors are placed on the diagonal of one block
-projector, so a direction scores high only where every subarray's smoothed
-covariance agrees.  ``avca_music`` averages the per-subarray reciprocal
-spectra instead, and ``g_music`` works directly on the physical sensor
-covariances, which caps it at ``n_sensors - 1`` sources per subarray.
+One residual kernel serves them all: the projection deficit
+``|a|^2 - |U^H a|^2`` of each steering column ``a`` against a subarray's
+signal basis ``U``.  Two rules merge the per-subarray deficits.  The merged
+rule takes the reciprocal of their sum, which is ``1 / (b^H (I - P) b)`` for
+the stacked steering vector ``b`` and the block-diagonal projector ``P`` of
+:class:`MergedProjector`.  The averaged rule takes the mean of their
+reciprocals.
+
+``gca_music`` applies the merged rule in the coarray domain, so a direction
+scores high only where every subarray's smoothed covariance agrees.
+``avca_music`` applies the averaged rule to the same virtual steering
+vectors.  ``g_music`` applies the merged rule to the physical sensor
+covariances with physical steering vectors, which caps it at
+``n_sensors - 1`` sources per subarray.  ``gca_spectrum`` and
+``avca_spectrum`` evaluate the two coarray rules at arbitrary directions.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import numpy as np
 from .coarray import SubspaceDecomposition, signal_subspace
 from .errors import TooManySourcesError
 from .geometry import TypeIILayout
+from .sigmodel import _steering
 
 __all__ = [
     "SpectrumGrid",
@@ -33,6 +43,7 @@ __all__ = [
     "gca_spectrum",
     "avca_spectrum",
     "find_peaks",
+    "grid_thetas",
     "DENOMINATOR_FLOOR",
 ]
 
@@ -95,15 +106,9 @@ class MergedProjector:
 
     def complement_form(self, stacked: np.ndarray) -> float:
         """Quadratic form ``b^H (I - P) b`` computed block by block."""
-        total = 0.0
-        row = 0
-        for basis in self.bases:
-            block = stacked[row : row + basis.shape[0]]
-            total += np.vdot(block, block).real - np.sum(
-                np.abs(basis.conj().T @ block) ** 2
-            )
-            row += basis.shape[0]
-        return float(total)
+        blocks = np.split(stacked, np.cumsum([u.shape[0] for u in self.bases])[:-1])
+        deficits = [_deficit(u, b, np.vdot(b, b).real) for u, b in zip(self.bases, blocks)]
+        return float(sum(deficits))
 
 
 def grid_thetas(grid_size: int) -> np.ndarray:
@@ -115,36 +120,63 @@ def grid_thetas(grid_size: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _cached_steering(positions: tuple[int, ...], grid_size: int) -> np.ndarray:
-    block = _steering_block(np.asarray(positions, dtype=np.float64), grid_thetas(grid_size))
+    block = _steering(np.asarray(positions, dtype=np.float64), grid_thetas(grid_size))
     block.setflags(write=False)
     return block
 
 
-def _steering_block(positions: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    return np.exp(1j * np.pi * positions[:, None] * np.asarray(thetas)[None, :])
-
-
-def _check_subspaces(subspaces: tuple[SubspaceDecomposition, ...]) -> tuple[int, int]:
+def _check_subspaces(subspaces) -> tuple[tuple[SubspaceDecomposition, ...], int]:
+    """The decompositions as a tuple, and their common virtual array size."""
+    subspaces = tuple(subspaces)
     if not subspaces:
         raise ValueError("need at least one subarray decomposition")
     dims = {s.dimension for s in subspaces}
     counts = {s.n_sources for s in subspaces}
     if len(dims) != 1 or len(counts) != 1:
         raise ValueError("subarray decompositions disagree on dimensions")
-    return dims.pop(), counts.pop()
+    return subspaces, dims.pop()
 
 
-def _projection_deficit(basis: np.ndarray, block: np.ndarray, length: int) -> np.ndarray:
-    """Per-column ``|a|^2 - |U^H a|^2`` with the exact steering norm."""
-    return length - np.sum(np.abs(basis.conj().T @ block) ** 2, axis=0)
+def _deficit(basis: np.ndarray, block: np.ndarray, norm) -> np.ndarray:
+    """Per-column ``norm - |U^H a|^2``: the squared distance of column ``a`` from span(U).
+
+    ``norm`` is ``|a|^2``; steering blocks pass it exactly, as their row count.
+    """
+    return norm - np.sum(np.abs(basis.conj().T @ block) ** 2, axis=0)
 
 
-def _eigen_gaps(subspaces) -> tuple[float, ...]:
-    gaps = []
-    for s in subspaces:
-        d = s.n_sources
-        gaps.append(float(s.eigenvalues[d - 1] - s.eigenvalues[d]))
-    return tuple(gaps)
+def _merged(deficits: list[np.ndarray]) -> np.ndarray:
+    """The ``gca`` and ``g_music`` rule: reciprocal of the summed deficits."""
+    return 1.0 / np.maximum(sum(deficits), DENOMINATOR_FLOOR)
+
+
+def _averaged(deficits: list[np.ndarray]) -> np.ndarray:
+    """The ``avca`` rule: mean of the per-subarray reciprocal deficits."""
+    return sum(1.0 / np.maximum(d, DENOMINATOR_FLOOR) for d in deficits) / len(deficits)
+
+
+def _coarray_spectrum(rule, subspaces, thetas) -> np.ndarray:
+    subspaces, m = _check_subspaces(subspaces)
+    block = _steering(np.arange(m, dtype=np.float64), np.asarray(thetas, dtype=np.float64))
+    return rule([_deficit(s.signal_basis, block, m) for s in subspaces])
+
+
+def _music(rule, decompositions, blocks, n_sources, grid_size, refine, algorithm):
+    """Grid spectrum by ``rule``, checked against ``n_sources``, and its peaks."""
+    d = decompositions[0].n_sources
+    if n_sources is not None and n_sources != d:
+        raise ValueError(f"decompositions hold {d} sources, caller expects {n_sources}")
+    deficits = [_deficit(s.signal_basis, a, len(a)) for s, a in zip(decompositions, blocks)]
+    spectrum = SpectrumGrid(grid_thetas(grid_size), rule(deficits))
+    gaps = tuple(float(s.eigenvalues[d - 1] - s.eigenvalues[d]) for s in decompositions)
+    estimate = find_peaks(spectrum, d, refine=refine, algorithm=algorithm, eigen_gaps=gaps)
+    return spectrum, estimate
+
+
+def _coarray_music(rule, subspaces, n_sources, grid_size, refine, algorithm):
+    subspaces, m = _check_subspaces(subspaces)
+    blocks = [_cached_steering(tuple(range(m)), grid_size)] * len(subspaces)
+    return _music(rule, subspaces, blocks, n_sources, grid_size, refine, algorithm)
 
 
 def gca_spectrum(subspaces, thetas) -> np.ndarray:
@@ -155,27 +187,12 @@ def gca_spectrum(subspaces, thetas) -> np.ndarray:
     with identical virtual arrays this is the reciprocal of the summed
     per-subarray projection deficits.
     """
-    subspaces = tuple(subspaces)
-    m, _ = _check_subspaces(subspaces)
-    thetas = np.asarray(thetas, dtype=np.float64)
-    block = _steering_block(np.arange(m, dtype=np.float64), thetas)
-    denom = np.zeros(thetas.shape, dtype=np.float64)
-    for s in subspaces:
-        denom += _projection_deficit(s.signal_basis, block, m)
-    return 1.0 / np.maximum(denom, DENOMINATOR_FLOOR)
+    return _coarray_spectrum(_merged, subspaces, thetas)
 
 
 def avca_spectrum(subspaces, thetas) -> np.ndarray:
     """Average of the per-subarray reciprocal coarray spectra."""
-    subspaces = tuple(subspaces)
-    m, _ = _check_subspaces(subspaces)
-    thetas = np.asarray(thetas, dtype=np.float64)
-    block = _steering_block(np.arange(m, dtype=np.float64), thetas)
-    acc = np.zeros(thetas.shape, dtype=np.float64)
-    for s in subspaces:
-        deficit = _projection_deficit(s.signal_basis, block, m)
-        acc += 1.0 / np.maximum(deficit, DENOMINATOR_FLOOR)
-    return acc / len(subspaces)
+    return _coarray_spectrum(_averaged, subspaces, thetas)
 
 
 def gca_music(
@@ -196,21 +213,7 @@ def gca_music(
     Returns:
         ``(SpectrumGrid, DoaEstimate)``.
     """
-    subspaces = tuple(subspaces)
-    m, d = _check_subspaces(subspaces)
-    if n_sources is not None and n_sources != d:
-        raise ValueError(f"decompositions hold {d} sources, caller expects {n_sources}")
-    bases = tuple(s.signal_basis for s in subspaces)
-    grid = grid_thetas(grid_size)
-    denom = np.zeros(grid_size, dtype=np.float64)
-    block = _cached_steering(tuple(range(m)), grid_size)
-    for basis in bases:
-        denom += _projection_deficit(basis, block, m)
-    spectrum = SpectrumGrid(grid, 1.0 / np.maximum(denom, DENOMINATOR_FLOOR))
-    estimate = find_peaks(
-        spectrum, d, refine=refine, algorithm="gca", eigen_gaps=_eigen_gaps(subspaces)
-    )
-    return spectrum, estimate
+    return _coarray_music(_merged, subspaces, n_sources, grid_size, refine, "gca")
 
 
 def avca_music(
@@ -220,21 +223,7 @@ def avca_music(
     refine: bool = True,
 ) -> tuple[SpectrumGrid, DoaEstimate]:
     """Average-coarray MUSIC: mean of the per-subarray reciprocal spectra."""
-    subspaces = tuple(subspaces)
-    m, d = _check_subspaces(subspaces)
-    if n_sources is not None and n_sources != d:
-        raise ValueError(f"decompositions hold {d} sources, caller expects {n_sources}")
-    grid = grid_thetas(grid_size)
-    block = _cached_steering(tuple(range(m)), grid_size)
-    acc = np.zeros(grid_size, dtype=np.float64)
-    for s in subspaces:
-        deficit = _projection_deficit(s.signal_basis, block, m)
-        acc += 1.0 / np.maximum(deficit, DENOMINATOR_FLOOR)
-    spectrum = SpectrumGrid(grid, acc / len(subspaces))
-    estimate = find_peaks(
-        spectrum, d, refine=refine, algorithm="avca", eigen_gaps=_eigen_gaps(subspaces)
-    )
-    return spectrum, estimate
+    return _coarray_music(_averaged, subspaces, n_sources, grid_size, refine, "avca")
 
 
 def g_music(
@@ -264,20 +253,11 @@ def g_music(
     if len(covariances) != layout.n_subarrays:
         raise ValueError("one covariance per subarray required")
     decompositions = [signal_subspace(np.asarray(r), n_sources) for r in covariances]
-    grid = grid_thetas(grid_size)
-    denom = np.zeros(grid_size, dtype=np.float64)
-    for l, dec in enumerate(decompositions):
-        block = _cached_steering(layout.subarray_positions(l), grid_size)
-        denom += _projection_deficit(dec.signal_basis, block, n)
-    spectrum = SpectrumGrid(grid, 1.0 / np.maximum(denom, DENOMINATOR_FLOOR))
-    estimate = find_peaks(
-        spectrum,
-        n_sources,
-        refine=refine,
-        algorithm="gmusic",
-        eigen_gaps=_eigen_gaps(decompositions),
-    )
-    return spectrum, estimate
+    blocks = [
+        _cached_steering(layout.subarray_positions(l), grid_size)
+        for l in range(layout.n_subarrays)
+    ]
+    return _music(_merged, decompositions, blocks, n_sources, grid_size, refine, "gmusic")
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -326,24 +306,13 @@ def find_peaks(
         raise ValueError("grid too small for peak finding")
     peaks = _local_maxima(values)
     degraded = peaks.size < n_sources
-    if degraded:
-        order = np.argsort(-values, kind="stable")
-        chosen = np.sort(order[:n_sources])
-        thetas = spectrum.thetas[chosen]
-        return DoaEstimate(
-            thetas, algorithm, values[chosen], degraded=True, eigen_gaps=eigen_gaps
-        )
-    ranked = peaks[np.argsort(-values[peaks], kind="stable")]
+    candidates = np.arange(values.size) if degraded else peaks
+    ranked = candidates[np.argsort(-values[candidates], kind="stable")]
     chosen = np.sort(ranked[:n_sources])
-    if refine:
-        step = spectrum.step
-        thetas = np.array(
-            [
-                spectrum.thetas[i]
-                + step * _parabolic_offset(values[i - 1], values[i], values[i + 1])
-                for i in chosen
-            ]
-        )
-    else:
-        thetas = spectrum.thetas[chosen]
-    return DoaEstimate(thetas, algorithm, values[chosen], degraded=False, eigen_gaps=eigen_gaps)
+    thetas = spectrum.thetas[chosen]
+    if refine and not degraded:
+        offsets = [_parabolic_offset(values[i - 1], values[i], values[i + 1]) for i in chosen]
+        thetas = thetas + spectrum.step * np.array(offsets)
+    return DoaEstimate(
+        thetas, algorithm, values[chosen], degraded=degraded, eigen_gaps=eigen_gaps
+    )

@@ -33,10 +33,19 @@ MRA_SENSOR_LIMIT = 10
 _SEARCH_APERTURE_LIMIT = 62
 
 
-def _as_positions(geometry) -> np.ndarray:
+def _as_positions(geometry, dtype=np.int64) -> np.ndarray:
+    """Positions of an :class:`ArrayGeometry` or of a raw position sequence."""
     if isinstance(geometry, ArrayGeometry):
-        return geometry.position_array()
-    return np.asarray(list(geometry), dtype=np.int64)
+        geometry = geometry.positions
+    return np.asarray(list(geometry), dtype=dtype)
+
+
+def _contiguous_half(lags) -> int:
+    """Largest c such that every lag in [-c, c] is in ``lags`` (a set or a dict)."""
+    c = 0
+    while (c + 1) in lags and -(c + 1) in lags:
+        c += 1
+    return c
 
 
 @dataclass(frozen=True)
@@ -100,10 +109,7 @@ class CoarrayProfile:
     @cached_property
     def contiguous_half(self) -> int:
         """Largest c such that every lag in [-c, c] is present."""
-        c = 0
-        while (c + 1) in self.weights and -(c + 1) in self.weights:
-            c += 1
-        return c
+        return _contiguous_half(self.weights)
 
     @property
     def is_hole_free(self) -> bool:

@@ -63,7 +63,6 @@ __all__ = [
     "run_trial",
     "rmse",
     "sweep",
-    "write_curves",
 ]
 
 #: RMSE reported for a curve point whose every trial failed.
@@ -166,27 +165,27 @@ class GeometrySpec:
         return build_super_nested2(self.n1, self.n2)
 
 
-_CONFIG_KEYS = {
-    "geometry",
-    "geometries",
-    "L",
-    "n_subarrays",
-    "mu",
-    "spacing",
-    "thetas",
-    "snapshots",
-    "T",
-    "snr_db",
-    "snr_sweep",
-    "algorithm",
-    "algorithms",
-    "trials",
-    "seed",
-    "grid_size",
-    "dedup_rule",
-    "exact",
-    "source_power",
-    "refine_peaks",
+_REQUIRED = object()
+
+# ExperimentConfig field -> (the file keys that set it, canonical key first;
+# its default, or None to keep the dataclass default; the value types that
+# stand for a one-element list).  Fields are read in this order, which fixes
+# the error reported first when a config has several faults.
+_CONFIG_FIELDS = {
+    "geometries": (("geometries", "geometry"), _REQUIRED, (str, dict)),
+    "snr_db_list": (("snr_sweep", "snr_db"), _REQUIRED, (int, float)),
+    "algorithms": (("algorithms", "algorithm"), None, (str,)),
+    "n_subarrays": (("L", "n_subarrays"), _REQUIRED, ()),
+    "spacing": (("mu", "spacing"), 1, ()),
+    "thetas": (("thetas",), _REQUIRED, ()),
+    "snapshots": (("snapshots", "T"), 100, ()),
+    "trials": (("trials",), None, ()),
+    "seed": (("seed",), None, ()),
+    "grid_size": (("grid_size",), None, ()),
+    "dedup_rule": (("dedup_rule",), None, ()),
+    "exact": (("exact",), None, ()),
+    "source_power": (("source_power",), None, ()),
+    "refine_peaks": (("refine_peaks",), None, ()),
 }
 
 # Integer config fields and their smallest accepted values.
@@ -267,42 +266,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - _CONFIG_KEYS
+        known = {key for keys, _, _ in _CONFIG_FIELDS.values() for key in keys}
+        unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-        def pick(*names, default=None, required=False):
-            present = [n for n in names if n in data]
+        kwargs = {}
+        for field, (keys, default, singular) in _CONFIG_FIELDS.items():
+            present = [key for key in keys if key in data]
             if len(present) > 1:
                 raise ValueError(f"config sets both {present[0]!r} and {present[1]!r}")
             if present:
-                return data[present[0]]
-            if required:
-                raise ValueError(f"config is missing {names[0]!r}")
-            return default
-
-        geometries = pick("geometries", "geometry", required=True)
-        if isinstance(geometries, (str, dict)):
-            geometries = [geometries]
-        snrs = pick("snr_sweep", "snr_db", required=True)
-        if isinstance(snrs, (int, float)):
-            snrs = [snrs]
-        algorithms = pick("algorithms", "algorithm", default=list(ALGORITHMS))
-        if isinstance(algorithms, str):
-            algorithms = [algorithms]
-        kwargs = {
-            "geometries": geometries,
-            "n_subarrays": pick("L", "n_subarrays", required=True),
-            "spacing": pick("mu", "spacing", default=1),
-            "thetas": pick("thetas", required=True),
-            "snapshots": pick("snapshots", "T", default=100),
-            "snr_db_list": snrs,
-            "algorithms": algorithms,
-        }
-        for key in ("trials", "seed", "grid_size", "dedup_rule", "exact",
-                    "source_power", "refine_peaks"):
-            if key in data:
-                kwargs[key] = data[key]
+                value = data[present[0]]
+                kwargs[field] = [value] if isinstance(value, singular) else value
+            elif default is _REQUIRED:
+                raise ValueError(f"config is missing {keys[0]!r}")
+            elif default is not None:
+                kwargs[field] = default
         return cls(**kwargs)
 
     @classmethod
@@ -465,8 +444,11 @@ def run_trial(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if not 0 <= geometry_index < len(config.geometries):
+    if not 0 <= _integer("geometry_index", geometry_index) < len(config.geometries):
         raise ValueError(f"geometry index {geometry_index} out of range")
+    (snr_db,) = _finite_reals("snr_db", [snr_db])
+    if _integer("trial_index", trial_index) < 0:
+        raise ValueError(f"'trial_index' must be at least 0, got {trial_index}")
     draw = _draw(config, _snr_bits(snr_db), trial_index, geometry_index)
     d = draw.sources.count
 
@@ -588,9 +570,3 @@ def _write_rows(handle, curves) -> None:
         writer.writerow(
             [c.geometry, c.algorithm, f"{c.snr_db:g}", c.trials, c.failures, f"{c.rmse:.9g}"]
         )
-
-
-def write_curves(curves, out_path) -> None:
-    """Write aggregated curves to ``out_path`` as CSV."""
-    with open(out_path, "w", newline="") as handle:
-        _write_rows(handle, curves)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry, TypeIILayout
+from .geometry import TypeIILayout, _as_positions
 
 __all__ = [
     "SourceSet",
@@ -28,10 +28,9 @@ __all__ = [
 ]
 
 
-def _position_array(positions) -> np.ndarray:
-    if isinstance(positions, ArrayGeometry):
-        return positions.position_array().astype(np.float64)
-    return np.asarray(list(positions), dtype=np.float64)
+def _steering(positions: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """``exp(j*pi*position*theta)``: one row per position, one column per direction."""
+    return np.exp(1j * np.pi * positions[:, None] * thetas[None, :])
 
 
 def _check_direction_range(thetas) -> np.ndarray:
@@ -87,11 +86,11 @@ def steering_vector(positions, theta: float) -> np.ndarray:
     Accepts an :class:`ArrayGeometry` or a raw position sequence, so the same
     routine serves physical sensors and virtual (coarray) positions.
     """
-    pos = _position_array(positions)
+    pos = _as_positions(positions, np.float64)
     th = _check_direction_range(theta)
     if th.size != 1:
         raise ValueError("steering_vector takes a single direction")
-    return np.exp(1j * np.pi * pos * th[0])
+    return _steering(pos, th.ravel())[:, 0]
 
 
 def steering_matrix(positions, directions) -> np.ndarray:
@@ -109,9 +108,7 @@ def steering_matrix(positions, directions) -> np.ndarray:
         raise ValueError("at least one source direction is required")
     if len(set(thetas)) != len(thetas):
         raise ValueError("duplicate source directions")
-    pos = _position_array(positions)
-    th = _check_direction_range(thetas)
-    return np.exp(1j * np.pi * pos[:, None] * th[None, :])
+    return _steering(_as_positions(positions, np.float64), _check_direction_range(thetas))
 
 
 def exact_covariance(positions, sources: SourceSet, noise_power: float) -> np.ndarray:

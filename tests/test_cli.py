@@ -101,6 +101,15 @@ class TestRunCommand:
             assert data["signal_bases"].shape == (3, 15, 6)
             assert data["estimates"].shape == (6,)
 
+    @pytest.mark.parametrize(
+        "flags,key", [(["--snr", "nan"], "snr_db"), (["--trial", "-1"], "trial_index")]
+    )
+    def test_bad_snr_or_trial_exits_one(self, capsys, config_path, flags, key):
+        code = main(["run", "--config", str(config_path), "--algorithm", "gca", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
     def test_missing_config_exits_one(self, capsys, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.json"),
                      "--algorithm", "gca"])

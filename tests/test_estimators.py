@@ -70,6 +70,49 @@ class TestMergedProjector:
         assert projector.complement_form(b) == pytest.approx(dense, rel=1e-12)
 
 
+class TestOnePath:
+    """The grid estimators, the spectrum functions and the projector agree."""
+
+    THETAS = (-0.7, -0.5, -0.3, 0.3, 0.5, 0.7)
+
+    @pytest.mark.parametrize(
+        "music,spectrum", [(gca_music, gca_spectrum), (avca_music, avca_spectrum)]
+    )
+    def test_music_grid_is_the_spectrum_on_the_grid(self, music, spectrum):
+        _, subspaces = exact_subspaces(self.THETAS, noise_power=0.5)
+        grid, _ = music(subspaces, grid_size=501)
+        assert np.array_equal(grid.thetas, grid_thetas(501))
+        assert np.array_equal(grid.values, spectrum(subspaces, grid_thetas(501)))
+
+    def test_gca_spectrum_is_the_merged_projector_residual(self):
+        _, subspaces = exact_subspaces(self.THETAS, noise_power=0.5)
+        projector = MergedProjector(tuple(s.signal_basis for s in subspaces))
+        m = subspaces[0].dimension
+        probes = np.array([-0.93, -0.61, -0.11, 0.0, 0.42, 0.77])  # away from sources
+        for theta, value in zip(probes, gca_spectrum(subspaces, probes)):
+            stacked = np.tile(np.exp(1j * np.pi * np.arange(m) * theta), len(subspaces))
+            assert value == pytest.approx(
+                1.0 / projector.complement_form(stacked), rel=1e-12
+            )
+
+    def test_g_music_is_the_merged_projector_residual_on_physical_steering(self):
+        layout = compose_type2(build_nested2(2, 2), 3, 1)
+        sources = SourceSet.equal_power((-0.4, 0.1, 0.6))
+        covariances = [
+            exact_covariance(layout.subarray_positions(l), sources, 0.5) for l in range(3)
+        ]
+        grid, _ = g_music(covariances, layout, sources.count, grid_size=101)
+        projector = MergedProjector(
+            tuple(signal_subspace(r, sources.count).signal_basis for r in covariances)
+        )
+        positions = np.concatenate([layout.subarray_positions(l) for l in range(3)])
+        for i in (0, 17, 50, 83):
+            stacked = np.exp(1j * np.pi * positions * grid.thetas[i])
+            assert grid.values[i] == pytest.approx(
+                1.0 / projector.complement_form(stacked), rel=1e-12
+            )
+
+
 class TestGcaMusic:
     def test_exact_recovery_six_sources(self):
         thetas = (-0.7, -0.5, -0.3, 0.3, 0.5, 0.7)

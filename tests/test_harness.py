@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +290,22 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(config, 10.0, "gca", 0, geometry_index=5)
 
+    @pytest.mark.parametrize(
+        "snr_db,trial_index,key",
+        [(float("nan"), 0, "snr_db"), (float("inf"), 0, "snr_db"), ("10", 0, "snr_db"),
+         (10.0, -1, "trial_index"), (10.0, 1.0, "trial_index"), (10.0, True, "trial_index")],
+    )
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rejects_bad_snr_and_trial_naming_the_key(self, snr_db, trial_index, key, exact):
+        config = small_config(exact=exact)
+        with pytest.raises(ValueError, match=repr(key)):
+            run_trial(config, snr_db, "gca", trial_index)
+
+    def test_rejects_non_integer_geometry_index(self):
+        config = small_config(geometries=("ula-5", "naq2-4-3"))
+        with pytest.raises(ValueError, match="'geometry_index'"):
+            run_trial(config, 10.0, "gca", 0, geometry_index=1.0)
+
 
 def cell_reference(config, geometry_index, algorithm, snr_db):
     """One (geometry, algorithm, SNR) cell computed on its own, trial by trial."""
@@ -424,3 +441,51 @@ class TestSweep:
         config = small_config(trials=1)
         with pytest.raises(OSError):
             sweep(config, out_path=tmp_path / "missing" / "curves.csv")
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# (geometry, algorithm, snr_db, failures, rmse) of the two keyed sweeps in
+# test_keyed_sweep_golden_rows.  Keyed draws make sweeps reproducible to the
+# last bit, so a refactor must leave these rows as they are; a change to
+# them is a change of results.
+KEYED_SWEEP_GOLDEN = [
+    ("naq2-4-3", "gca", -10.0, 0, 0.006571025975754972),
+    ("naq2-4-3", "gca", 20.0, 0, 0.0018066749276369697),
+    ("naq2-4-3", "gmusic", -10.0, 0, 0.03669500620814225),
+    ("naq2-4-3", "gmusic", 20.0, 0, 0.14911446575497717),
+    ("naq2-4-3", "avca", -10.0, 0, 0.07518477032209145),
+    ("naq2-4-3", "avca", 20.0, 0, 0.20892862964635084),
+    ("naq2-4-3", "gca", -10.0, 0, 0.00953737220411285),
+    ("naq2-4-3", "gca", -5.0, 0, 0.00603932767341984),
+    ("naq2-4-3", "gca", 0.0, 0, 0.005556890784343871),
+    ("naq2-4-3", "gca", 5.0, 0, 0.005124042483419461),
+    ("naq2-4-3", "gca", 10.0, 0, 0.004565028708723374),
+    ("naq2-4-3", "gca", 15.0, 0, 0.004246072575969033),
+    ("naq2-4-3", "gca", 20.0, 0, 0.004713345171488706),
+    ("naq2-4-3", "gmusic", -10.0, 3, 2.0),
+    ("naq2-4-3", "gmusic", -5.0, 3, 2.0),
+    ("naq2-4-3", "gmusic", 0.0, 3, 2.0),
+    ("naq2-4-3", "gmusic", 5.0, 3, 2.0),
+    ("naq2-4-3", "gmusic", 10.0, 3, 2.0),
+    ("naq2-4-3", "gmusic", 15.0, 3, 2.0),
+    ("naq2-4-3", "gmusic", 20.0, 3, 2.0),
+]
+
+
+def test_keyed_sweep_golden_rows():
+    """Keyed draws make a sweep reproducible to the last bit: pin two of them."""
+    overrides = [
+        ("naq2_algorithms.json", {"trials": 3, "snr_sweep": [-10, 20]}),
+        ("oversubscribed.json", {"trials": 3}),
+    ]
+    curves = []
+    for name, override in overrides:
+        data = json.loads((CONFIG_DIR / name).read_text())
+        curves += sweep(ExperimentConfig.from_dict({**data, **override}))
+    assert len(curves) == len(KEYED_SWEEP_GOLDEN)
+    for curve, (geometry, algorithm, snr_db, failures, value) in zip(curves, KEYED_SWEEP_GOLDEN):
+        assert (curve.geometry, curve.algorithm, curve.snr_db) == (geometry, algorithm, snr_db)
+        assert curve.trials == 3
+        assert curve.failures == failures
+        assert curve.rmse == pytest.approx(value, rel=1e-9)
