@@ -5,8 +5,15 @@ how close a steering vector comes to the span of per-subarray signal
 subspaces, then read off the largest spectrum peaks.
 
 One residual kernel serves them all: the projection deficit
-``|a|^2 - |U^H a|^2`` of each steering column ``a`` against a subarray's
-signal basis ``U``.  Two rules merge the per-subarray deficits.  The merged
+``|a|^2 - |U^H a|^2`` of the steering vector ``a`` at integer positions ``p``
+against a subarray's signal basis ``U``.  It is evaluated in the lag
+domain.  With ``P = U U^H`` and ``c_k`` the sum of the entries ``P[j, i]``
+whose positions differ by ``p_j - p_i = k > 0``, the deficit is the real
+trigonometric polynomial ``len(p) - tr P - sum_k 2 (Re c_k cos(pi k theta)
++ Im c_k sin(pi k theta))``, so one real product of the coefficients with a
+cached cosine/sine table scores every subarray on the whole grid.  These
+are the Laurent coefficients in ``z = exp(j pi theta)`` that root-MUSIC
+would root.  Two rules merge the per-subarray deficits.  The merged
 rule takes the reciprocal of their sum, which is ``1 / (b^H (I - P) b)`` for
 the stacked steering vector ``b`` and the block-diagonal projector ``P`` of
 :class:`MergedProjector`.  The averaged rule takes the mean of their
@@ -17,8 +24,11 @@ scores high only where every subarray's smoothed covariance agrees.
 ``avca_music`` applies the averaged rule to the same virtual steering
 vectors.  ``g_music`` applies the merged rule to the physical sensor
 covariances with physical steering vectors, which caps it at
-``n_sensors - 1`` sources per subarray.  ``gca_spectrum`` and
-``avca_spectrum`` evaluate the two coarray rules at arbitrary directions.
+``n_sensors - 1`` sources per subarray.  A subarray's offset only multiplies
+its steering vector by a unit phase, which cancels in ``|U^H a|^2``, so
+``g_music`` scores every subarray on the base positions.  ``gca_spectrum``
+and ``avca_spectrum`` evaluate the two coarray rules at arbitrary
+directions.
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ import numpy as np
 from .coarray import SubspaceDecomposition, signal_subspace
 from .errors import TooManySourcesError
 from .geometry import TypeIILayout
-from .sigmodel import _steering
 
 __all__ = [
     "SpectrumGrid",
@@ -107,7 +116,10 @@ class MergedProjector:
     def complement_form(self, stacked: np.ndarray) -> float:
         """Quadratic form ``b^H (I - P) b`` computed block by block."""
         blocks = np.split(stacked, np.cumsum([u.shape[0] for u in self.bases])[:-1])
-        deficits = [_deficit(u, b, np.vdot(b, b).real) for u, b in zip(self.bases, blocks)]
+        deficits = [
+            np.vdot(b, b).real - np.sum(np.abs(u.conj().T @ b) ** 2)
+            for u, b in zip(self.bases, blocks)
+        ]
         return float(sum(deficits))
 
 
@@ -118,11 +130,35 @@ def grid_thetas(grid_size: int) -> np.ndarray:
     return -1.0 + (2.0 / grid_size) * np.arange(grid_size)
 
 
+def _trig_table(max_lag: int, thetas: np.ndarray) -> np.ndarray:
+    """Rows ``cos(pi k theta)`` for k = 1..max_lag, then ``sin(pi k theta)``."""
+    phase = np.pi * np.arange(1, max_lag + 1, dtype=np.float64)[:, None] * thetas[None, :]
+    return np.concatenate([np.cos(phase), np.sin(phase)])
+
+
 @lru_cache(maxsize=64)
-def _cached_steering(positions: tuple[int, ...], grid_size: int) -> np.ndarray:
-    block = _steering(np.asarray(positions, dtype=np.float64), grid_thetas(grid_size))
-    block.setflags(write=False)
-    return block
+def _cached_table(max_lag: int, grid_size: int) -> np.ndarray:
+    table = _trig_table(max_lag, grid_thetas(grid_size))
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=64)
+def _lag_plan(positions: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs ``j > i`` of strictly increasing positions and their lag binning.
+
+    Returns the row and column index of each pair's entry ``P[j, i]`` and a
+    ``pairs x max_lag`` 0/1 matrix whose column ``k - 1`` sums the pairs at
+    lag ``p_j - p_i = k``.
+    """
+    pos = np.asarray(positions, dtype=np.int64)
+    cols, rows = np.triu_indices(pos.size, 1)
+    lags = pos[rows] - pos[cols]
+    binning = np.zeros((rows.size, int(pos[-1] - pos[0])))
+    binning[np.arange(rows.size), lags - 1] = 1.0
+    for array in (rows, cols, binning):
+        array.setflags(write=False)
+    return rows, cols, binning
 
 
 def _check_subspaces(subspaces) -> tuple[tuple[SubspaceDecomposition, ...], int]:
@@ -137,36 +173,44 @@ def _check_subspaces(subspaces) -> tuple[tuple[SubspaceDecomposition, ...], int]
     return subspaces, dims.pop()
 
 
-def _deficit(basis: np.ndarray, block: np.ndarray, norm) -> np.ndarray:
-    """Per-column ``norm - |U^H a|^2``: the squared distance of column ``a`` from span(U).
+def _deficits(bases, positions: tuple[int, ...], table: np.ndarray) -> np.ndarray:
+    """Projection deficits ``|a|^2 - |U^H a|^2``, one row per basis, one column per direction.
 
-    ``norm`` is ``|a|^2``; steering blocks pass it exactly, as their row count.
+    ``a`` is the steering vector at the strictly increasing ``positions``; ``table`` is
+    ``_trig_table(positions[-1] - positions[0], thetas)`` for the directions.
     """
-    return norm - np.sum(np.abs(basis.conj().T @ block) ** 2, axis=0)
+    u = np.stack(bases)
+    projectors = u @ u.conj().transpose(0, 2, 1)
+    rows, cols, binning = _lag_plan(positions)
+    lower = projectors[:, rows, cols]
+    coefficients = np.concatenate([lower.real @ binning, lower.imag @ binning], axis=1)
+    trace = np.trace(projectors, axis1=1, axis2=2).real
+    return (len(positions) - trace)[:, None] - 2.0 * coefficients @ table
 
 
-def _merged(deficits: list[np.ndarray]) -> np.ndarray:
+def _merged(deficits: np.ndarray) -> np.ndarray:
     """The ``gca`` and ``g_music`` rule: reciprocal of the summed deficits."""
     return 1.0 / np.maximum(sum(deficits), DENOMINATOR_FLOOR)
 
 
-def _averaged(deficits: list[np.ndarray]) -> np.ndarray:
+def _averaged(deficits: np.ndarray) -> np.ndarray:
     """The ``avca`` rule: mean of the per-subarray reciprocal deficits."""
     return sum(1.0 / np.maximum(d, DENOMINATOR_FLOOR) for d in deficits) / len(deficits)
 
 
 def _coarray_spectrum(rule, subspaces, thetas) -> np.ndarray:
     subspaces, m = _check_subspaces(subspaces)
-    block = _steering(np.arange(m, dtype=np.float64), np.asarray(thetas, dtype=np.float64))
-    return rule([_deficit(s.signal_basis, block, m) for s in subspaces])
+    table = _trig_table(m - 1, np.asarray(thetas, dtype=np.float64))
+    return rule(_deficits([s.signal_basis for s in subspaces], tuple(range(m)), table))
 
 
-def _music(rule, decompositions, blocks, n_sources, grid_size, refine, algorithm):
+def _music(rule, decompositions, positions, n_sources, grid_size, refine, algorithm):
     """Grid spectrum by ``rule``, checked against ``n_sources``, and its peaks."""
     d = decompositions[0].n_sources
     if n_sources is not None and n_sources != d:
         raise ValueError(f"decompositions hold {d} sources, caller expects {n_sources}")
-    deficits = [_deficit(s.signal_basis, a, len(a)) for s, a in zip(decompositions, blocks)]
+    table = _cached_table(positions[-1] - positions[0], grid_size)
+    deficits = _deficits([s.signal_basis for s in decompositions], positions, table)
     spectrum = SpectrumGrid(grid_thetas(grid_size), rule(deficits))
     gaps = tuple(float(s.eigenvalues[d - 1] - s.eigenvalues[d]) for s in decompositions)
     estimate = find_peaks(spectrum, d, refine=refine, algorithm=algorithm, eigen_gaps=gaps)
@@ -175,8 +219,7 @@ def _music(rule, decompositions, blocks, n_sources, grid_size, refine, algorithm
 
 def _coarray_music(rule, subspaces, n_sources, grid_size, refine, algorithm):
     subspaces, m = _check_subspaces(subspaces)
-    blocks = [_cached_steering(tuple(range(m)), grid_size)] * len(subspaces)
-    return _music(rule, subspaces, blocks, n_sources, grid_size, refine, algorithm)
+    return _music(rule, subspaces, tuple(range(m)), n_sources, grid_size, refine, algorithm)
 
 
 def gca_spectrum(subspaces, thetas) -> np.ndarray:
@@ -253,11 +296,8 @@ def g_music(
     if len(covariances) != layout.n_subarrays:
         raise ValueError("one covariance per subarray required")
     decompositions = [signal_subspace(np.asarray(r), n_sources) for r in covariances]
-    blocks = [
-        _cached_steering(layout.subarray_positions(l), grid_size)
-        for l in range(layout.n_subarrays)
-    ]
-    return _music(_merged, decompositions, blocks, n_sources, grid_size, refine, "gmusic")
+    positions = layout.base.positions
+    return _music(_merged, decompositions, positions, n_sources, grid_size, refine, "gmusic")
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -276,12 +316,14 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return interior[is_peak]
 
 
-def _parabolic_offset(left: float, center: float, right: float) -> float:
+def _parabolic_offsets(left, center, right) -> np.ndarray:
+    """Vertex offsets, in grid steps within [-0.5, 0.5], of the parabolas through
+    ``(-1, left), (0, center), (1, right)``; 0 unless the curvature is finite
+    and negative."""
     curvature = left - 2.0 * center + right
-    if not np.isfinite(curvature) or curvature >= 0:
-        return 0.0
-    offset = 0.5 * (left - right) / curvature
-    return float(np.clip(offset, -0.5, 0.5))
+    ok = np.isfinite(curvature) & (curvature < 0)
+    offsets = np.where(ok, 0.5 * (left - right) / np.where(ok, curvature, -1.0), 0.0)
+    return np.clip(offsets, -0.5, 0.5)
 
 
 def find_peaks(
@@ -311,8 +353,8 @@ def find_peaks(
     chosen = np.sort(ranked[:n_sources])
     thetas = spectrum.thetas[chosen]
     if refine and not degraded:
-        offsets = [_parabolic_offset(values[i - 1], values[i], values[i + 1]) for i in chosen]
-        thetas = thetas + spectrum.step * np.array(offsets)
+        offsets = _parabolic_offsets(values[chosen - 1], values[chosen], values[chosen + 1])
+        thetas = thetas + spectrum.step * offsets
     return DoaEstimate(
         thetas, algorithm, values[chosen], degraded=degraded, eigen_gaps=eigen_gaps
     )

@@ -34,10 +34,21 @@ _SEARCH_APERTURE_LIMIT = 62
 
 
 def _as_positions(geometry, dtype=np.int64) -> np.ndarray:
-    """Positions of an :class:`ArrayGeometry` or of a raw position sequence."""
+    """Positions of an :class:`ArrayGeometry` or of a raw position sequence.
+
+    Raises:
+        ValueError: naming the first position that is not a whole number
+            (whole-valued floats such as ``3.0`` are accepted).
+    """
     if isinstance(geometry, ArrayGeometry):
         geometry = geometry.positions
-    return np.asarray(list(geometry), dtype=dtype)
+    positions = list(geometry)
+    values = np.asarray(positions, dtype=np.float64)
+    whole = np.isfinite(values) & (values == np.round(values))
+    if not whole.all():
+        bad = positions[int(np.argmin(whole))]
+        raise ValueError(f"sensor positions must be whole numbers, got {bad!r}")
+    return np.asarray(positions, dtype=dtype)
 
 
 def _contiguous_half(lags) -> int:

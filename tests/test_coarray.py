@@ -94,6 +94,11 @@ class TestCovarianceToCoarray:
         with pytest.raises(ValueError):
             covariance_to_coarray(r, build_ula(4))
 
+    def test_rejects_non_integer_positions(self):
+        with pytest.raises(ValueError, match="1.5"):
+            covariance_to_coarray(np.eye(2), (0, 1.5))
+        assert covariance_to_coarray(np.eye(2), (0.0, 1.0)).lags == (-1, 0, 1)
+
     def test_value_at_missing_lag_raises(self):
         signal = covariance_to_coarray(np.eye(2), build_ula(2))
         with pytest.raises(ValueError):

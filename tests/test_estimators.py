@@ -9,6 +9,9 @@ from sparsedoa.estimators import (
     DENOMINATOR_FLOOR,
     MergedProjector,
     SpectrumGrid,
+    _deficits,
+    _parabolic_offsets,
+    _trig_table,
     avca_music,
     avca_spectrum,
     find_peaks,
@@ -17,8 +20,8 @@ from sparsedoa.estimators import (
     gca_spectrum,
     grid_thetas,
 )
-from sparsedoa.geometry import build_nested2, compose_type2
-from sparsedoa.sigmodel import SourceSet, exact_covariance
+from sparsedoa.geometry import build_mra, build_nested2, compose_type2
+from sparsedoa.sigmodel import SourceSet, exact_covariance, steering_matrix
 
 
 def exact_subspaces(thetas, n_subarrays=3, noise_power=1.0, power=1.0):
@@ -111,6 +114,40 @@ class TestOnePath:
             assert grid.values[i] == pytest.approx(
                 1.0 / projector.complement_form(stacked), rel=1e-12
             )
+
+
+class TestLagKernel:
+    """The lag-domain deficits against explicit steering columns."""
+
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            tuple(range(29)),  # the virtual ULA of naq2-4-3
+            build_mra(7).positions,
+            tuple(10 + p for p in build_nested2(3, 3).positions),  # a base at offset 10
+        ],
+    )
+    def test_matches_explicit_projection_residual(self, positions):
+        rng = np.random.default_rng(len(positions))
+        bases = [random_orthonormal(rng, len(positions), 5) for _ in range(3)]
+        thetas = np.array([-1.0, -0.83, -0.47, -0.1, 0.0, 0.26, 0.58, 0.91])
+        kernel = _deficits(bases, positions, _trig_table(positions[-1] - positions[0], thetas))
+        a = steering_matrix(positions, thetas)
+        for basis, row in zip(bases, kernel):
+            explicit = len(positions) - np.sum(np.abs(basis.conj().T @ a) ** 2, axis=0)
+            assert np.min(explicit) > 1e-2  # away from the nulls
+            np.testing.assert_allclose(row, explicit, rtol=1e-12)
+
+    def test_g_music_does_not_depend_on_subarray_spacing(self):
+        sources = SourceSet.equal_power((-0.4, 0.1, 0.6))
+        base = build_nested2(2, 2)
+        covariances = [
+            exact_covariance(compose_type2(base, 3, 4).subarray_positions(l), sources, 0.5)
+            for l in range(3)
+        ]
+        near, _ = g_music(covariances, compose_type2(base, 3, 1), sources.count, grid_size=201)
+        far, _ = g_music(covariances, compose_type2(base, 3, 4), sources.count, grid_size=201)
+        assert np.array_equal(near.values, far.values)
 
 
 class TestGcaMusic:
@@ -260,6 +297,28 @@ class TestFindPeaks:
         values = 5.0 - (grid - vertex) ** 2
         estimate = find_peaks(SpectrumGrid(grid, values), 1, refine=True)
         assert estimate.thetas[0] == pytest.approx(vertex, abs=1e-12)
+
+    def test_vectorised_refinement_matches_the_scalar_formula(self):
+        def scalar_offset(left, center, right):
+            curvature = left - 2.0 * center + right
+            if not np.isfinite(curvature) or curvature >= 0:
+                return 0.0
+            return float(np.clip(0.5 * (left - right) / curvature, -0.5, 0.5))
+
+        rng = np.random.default_rng(12)
+        triples = rng.standard_normal((5000, 3)) * rng.choice([1e-3, 1.0, 1e300], (5000, 3))
+        specials = np.array([np.inf, -np.inf, np.nan, 0.0, 1.0])
+        mask = rng.random((5000, 3)) < 0.1
+        triples[mask] = rng.choice(specials, mask.sum())
+        triples[:500, 0] = triples[:500, 1]  # flat on the left
+        triples[500:1000] = triples[500:1000, 1:2]  # flat: zero curvature
+        # Zero curvature up to rounding.
+        triples[1000:1500, 2] = 2.0 * triples[1000:1500, 1] - triples[1000:1500, 0]
+        with np.errstate(all="ignore"):
+            expected = [scalar_offset(*t) for t in triples]
+        with np.errstate(all="ignore", divide="raise"):  # the divisor is never 0
+            offsets = _parabolic_offsets(*triples.T)
+        assert np.array_equal(offsets, expected)
 
     def test_refinement_never_leaves_the_cell(self):
         values = np.array([0.0, 1.0, 10.0, 1.5, 0.0])

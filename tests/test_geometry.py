@@ -115,6 +115,11 @@ class TestDifferenceCoarray:
         for positions in [(0, 1), (0, 3, 7), (0, 1, 4, 6)]:
             assert difference_coarray(positions).sdof % 2 == 1
 
+    def test_rejects_non_integer_positions(self):
+        with pytest.raises(ValueError, match="1.5"):
+            difference_coarray((0, 1.5, 2.7))
+        assert difference_coarray((0.0, 1.0, 3.0)).lags == difference_coarray((0, 1, 3)).lags
+
 
 class TestUla:
     @pytest.mark.parametrize("n", [1, 2, 5, 21])

@@ -443,9 +443,9 @@ class TestSweep:
             sweep(config, out_path=tmp_path / "missing" / "curves.csv")
 
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
 
-# (geometry, algorithm, snr_db, failures, rmse) of the two keyed sweeps in
+# (geometry, algorithm, snr_db, failures, rmse) of the keyed sweeps in
 # test_keyed_sweep_golden_rows.  Keyed draws make sweeps reproducible to the
 # last bit, so a refactor must leave these rows as they are; a change to
 # them is a change of results.
@@ -472,20 +472,45 @@ KEYED_SWEEP_GOLDEN = [
     ("naq2-4-3", "gmusic", 20.0, 3, 2.0),
 ]
 
+# The same at trials=2 for the widest coarrays (M = 24 and 30, lags up to 29)
+# and for every geometry of the geometry comparison.
+WIDE_KEYED_SWEEP_GOLDEN = [
+    ("snaq2-5-4", "gca", -5.0, 0, 0.003549726557612411),
+    ("snaq2-5-4", "gca", 20.0, 0, 0.002503749235265599),
+    ("snaq2-5-4", "avca", -5.0, 0, 0.2389163332456338),
+    ("snaq2-5-4", "avca", 20.0, 0, 0.0809777467299582),
+    ("mra-9", "gca", -5.0, 0, 0.001682688315763054),
+    ("mra-9", "gca", 20.0, 0, 0.001382400433732001),
+    ("mra-9", "avca", -5.0, 0, 0.13989514526500266),
+    ("mra-9", "avca", 20.0, 0, 0.16477860013080536),
+    ("ula-7", "gca", -10.0, 0, 0.046198926672359523),
+    ("ula-7", "gca", 20.0, 0, 0.005085634116031139),
+    ("naq2-4-3", "gca", -10.0, 0, 0.008669967335164347),
+    ("naq2-4-3", "gca", 20.0, 0, 0.0033909888896121896),
+    ("snaq2-4-3", "gca", -10.0, 0, 0.007216433518051235),
+    ("snaq2-4-3", "gca", 20.0, 0, 0.0028063075171823435),
+    ("mra-7", "gca", -10.0, 0, 0.006001506957431266),
+    ("mra-7", "gca", 20.0, 0, 0.003111372541477803),
+]
+
 
 def test_keyed_sweep_golden_rows():
-    """Keyed draws make a sweep reproducible to the last bit: pin two of them."""
-    overrides = [
-        ("naq2_algorithms.json", {"trials": 3, "snr_sweep": [-10, 20]}),
-        ("oversubscribed.json", {"trials": 3}),
+    """Keyed draws make a sweep reproducible to the last bit: pin four of them."""
+    sweeps = [
+        ("configs/naq2_algorithms.json", {"trials": 3, "snr_sweep": [-10, 20]}),
+        ("configs/oversubscribed.json", {"trials": 3}),
+        ("bench/wide_coarray.json", {"trials": 2, "snr_sweep": [-5, 20]}),
+        ("configs/geometry_comparison.json", {"trials": 2, "snr_sweep": [-10, 20]}),
     ]
-    curves = []
-    for name, override in overrides:
-        data = json.loads((CONFIG_DIR / name).read_text())
-        curves += sweep(ExperimentConfig.from_dict({**data, **override}))
-    assert len(curves) == len(KEYED_SWEEP_GOLDEN)
-    for curve, (geometry, algorithm, snr_db, failures, value) in zip(curves, KEYED_SWEEP_GOLDEN):
+    rows = []
+    for name, override in sweeps:
+        data = json.loads((ROOT / name).read_text())
+        curves = sweep(ExperimentConfig.from_dict({**data, **override}))
+        rows += [(curve, override["trials"]) for curve in curves]
+    golden = KEYED_SWEEP_GOLDEN + WIDE_KEYED_SWEEP_GOLDEN
+    assert len(rows) == len(golden)
+    for (curve, trials), (geometry, algorithm, snr_db, failures, value) in zip(rows, golden):
         assert (curve.geometry, curve.algorithm, curve.snr_db) == (geometry, algorithm, snr_db)
-        assert curve.trials == 3
+        assert curve.trials == trials
         assert curve.failures == failures
         assert curve.rmse == pytest.approx(value, rel=1e-9)

@@ -71,6 +71,17 @@ class TestSteering:
         a = steering_matrix((0, 1, 4, 6), (-0.9, 0.1, 0.8))
         assert np.allclose(np.abs(a), 1.0)
 
+    def test_vector_rejects_non_integer_positions(self):
+        with pytest.raises(ValueError, match="1.5"):
+            steering_vector((0, 1.5), 0.5)
+        assert np.array_equal(steering_vector((0.0, 3.0), 0.2), steering_vector((0, 3), 0.2))
+
+    def test_matrix_rejects_non_integer_positions(self):
+        with pytest.raises(ValueError, match="2.5"):
+            steering_matrix((0, 2.5), (0.1, 0.4))
+        with pytest.raises(ValueError, match="nan"):
+            steering_matrix((0, float("nan")), (0.1,))
+
     def test_rejects_duplicates_and_bad_range(self):
         with pytest.raises(ValueError):
             steering_matrix((0, 1), (0.2, 0.2))
