@@ -5,7 +5,10 @@ measurements by the pair's position difference turns an N-sensor covariance
 into a single virtual snapshot on the difference coarray.  Forward spatial
 smoothing over the contiguous center of that coarray then rebuilds a full
 rank covariance whose signal subspace matches a virtual uniform array of
-``M = contiguous_half + 1`` sensors at positions ``0..M-1``.
+``M = contiguous_half + 1`` sensors at positions ``0..M-1``.  That matrix is
+``R_v R_v^H / M`` for the Hermitian Toeplitz matrix ``R_v`` of the central
+lag values (Liu & Vaidyanathan, IEEE SPL 2015), so the subspaces come from
+``R_v`` itself and the smoothed matrix is derived only on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateCoarrayError, TooManySourcesError
-from .geometry import _as_positions, _contiguous_half
+from .geometry import _as_positions, _contiguous_half, _lag_plan
 
 __all__ = [
     "CoarraySignal",
@@ -79,28 +82,33 @@ def covariance_to_coarray(covariance, geometry, rule: str = "average") -> Coarra
     if r.shape != (n, n):
         raise ValueError(f"covariance shape {r.shape} does not match {n} positions")
 
-    lag_of_pair = (pos[:, None] - pos[None, :]).ravel(order="F")
+    plan = _lag_plan(tuple(pos.tolist()))
     vec = r.ravel(order="F")
-    lags, first_index, inverse, counts = np.unique(
-        lag_of_pair, return_index=True, return_inverse=True, return_counts=True
-    )
     if rule == "first":
-        values = vec[first_index]
+        values = vec[plan.first]
     else:
         values = (
-            np.bincount(inverse, weights=vec.real)
-            + 1j * np.bincount(inverse, weights=vec.imag)
-        ) / counts
-    return CoarraySignal(tuple(int(l) for l in lags), values, rule)
+            np.bincount(plan.inverse, weights=vec.real)
+            + 1j * np.bincount(plan.inverse, weights=vec.imag)
+        ) / plan.counts
+    return CoarraySignal(plan.lags, values, rule)
 
 
 @dataclass(frozen=True)
 class SmoothedCovariance:
-    """Spatially smoothed coarray covariance on the virtual array 0..window-1."""
+    """Smoothed covariance ``root root^H / window`` on virtual positions 0..window-1."""
 
-    matrix: np.ndarray
+    root: np.ndarray
     window: int
     subarray_index: int | None = None
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The smoothed matrix (read-only), built from ``root`` on first use."""
+        smoothed = self.root @ self.root.conj().T / self.window
+        smoothed = (smoothed + smoothed.conj().T) / 2.0
+        smoothed.setflags(write=False)
+        return smoothed
 
 
 def spatial_smooth(signal: CoarraySignal, subarray_index: int | None = None) -> SmoothedCovariance:
@@ -113,6 +121,7 @@ def spatial_smooth(signal: CoarraySignal, subarray_index: int | None = None) -> 
     matrix is the average of the M window outer products, which is Hermitian
     positive semidefinite and, for exact statistics, equals
     ``(1/M) * (A_v diag(p) A_v^H + noise_power * I)^2`` on the virtual array.
+    The windows are the columns of ``R_v[i, k] = v(i - k)``, the only matrix built.
 
     Raises:
         DegenerateCoarrayError: if the contiguous center is a single lag.
@@ -122,12 +131,9 @@ def spatial_smooth(signal: CoarraySignal, subarray_index: int | None = None) -> 
         raise DegenerateCoarrayError(
             "spatial smoothing needs a contiguous coarray segment beyond lag 0"
         )
-    m = c + 1
-    center = signal.central_values()  # lags -c..c ascending, length 2m-1
-    windows = np.column_stack([center[m - i : 2 * m - i] for i in range(1, m + 1)])
-    smoothed = windows @ windows.conj().T / m
-    smoothed = (smoothed + smoothed.conj().T) / 2.0
-    return SmoothedCovariance(smoothed, m, subarray_index)
+    i = np.arange(c + 1)
+    root = signal.central_values()[i[:, None] - i[None, :] + c]
+    return SmoothedCovariance(root, c + 1, subarray_index)
 
 
 @dataclass(frozen=True)
@@ -168,6 +174,9 @@ def _fix_vector_phases(vectors: np.ndarray) -> np.ndarray:
 def signal_subspace(covariance, n_sources: int) -> SubspaceDecomposition:
     """Split a Hermitian covariance into signal and noise subspaces.
 
+    A :class:`SmoothedCovariance` is decomposed through ``R_v``: its eigenpairs
+    ranked by ``|lambda|`` are the smoothed matrix's, with eigenvalues ``lambda^2 / window``.
+
     Args:
         covariance: :class:`SmoothedCovariance` or a plain Hermitian matrix
             (the latter serves physical-domain processing).
@@ -177,11 +186,8 @@ def signal_subspace(covariance, n_sources: int) -> SubspaceDecomposition:
     Raises:
         TooManySourcesError: if ``n_sources >= dim``.
     """
-    matrix = (
-        covariance.matrix
-        if isinstance(covariance, SmoothedCovariance)
-        else np.asarray(covariance)
-    )
+    smoothed = isinstance(covariance, SmoothedCovariance)
+    matrix = covariance.root if smoothed else np.asarray(covariance)
     dim = matrix.shape[0]
     if matrix.shape != (dim, dim):
         raise ValueError("covariance must be square")
@@ -193,8 +199,9 @@ def signal_subspace(covariance, n_sources: int) -> SubspaceDecomposition:
             f"{dim}-dimensional covariance"
         )
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    eigenvalues = eigenvalues[::-1]
-    eigenvectors = _fix_vector_phases(eigenvectors[:, ::-1])
+    order = np.argsort(-np.abs(eigenvalues), kind="stable") if smoothed else slice(None, None, -1)
+    eigenvalues = eigenvalues[order] ** 2 / covariance.window if smoothed else eigenvalues[order]
+    eigenvectors = _fix_vector_phases(eigenvectors[:, order])
     return SubspaceDecomposition(
         signal_basis=eigenvectors[:, :n_sources],
         noise_basis=eigenvectors[:, n_sources:],

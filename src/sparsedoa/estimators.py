@@ -40,7 +40,7 @@ import numpy as np
 
 from .coarray import SubspaceDecomposition, signal_subspace
 from .errors import TooManySourcesError
-from .geometry import TypeIILayout
+from .geometry import TypeIILayout, _lag_plan
 
 __all__ = [
     "SpectrumGrid",
@@ -84,7 +84,6 @@ class DoaEstimate:
     algorithm: str
     peak_values: np.ndarray
     degraded: bool = False
-    eigen_gaps: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -143,24 +142,6 @@ def _cached_table(max_lag: int, grid_size: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=64)
-def _lag_plan(positions: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs ``j > i`` of strictly increasing positions and their lag binning.
-
-    Returns the row and column index of each pair's entry ``P[j, i]`` and a
-    ``pairs x max_lag`` 0/1 matrix whose column ``k - 1`` sums the pairs at
-    lag ``p_j - p_i = k``.
-    """
-    pos = np.asarray(positions, dtype=np.int64)
-    cols, rows = np.triu_indices(pos.size, 1)
-    lags = pos[rows] - pos[cols]
-    binning = np.zeros((rows.size, int(pos[-1] - pos[0])))
-    binning[np.arange(rows.size), lags - 1] = 1.0
-    for array in (rows, cols, binning):
-        array.setflags(write=False)
-    return rows, cols, binning
-
-
 def _check_subspaces(subspaces) -> tuple[tuple[SubspaceDecomposition, ...], int]:
     """The decompositions as a tuple, and their common virtual array size."""
     subspaces = tuple(subspaces)
@@ -181,9 +162,9 @@ def _deficits(bases, positions: tuple[int, ...], table: np.ndarray) -> np.ndarra
     """
     u = np.stack(bases)
     projectors = u @ u.conj().transpose(0, 2, 1)
-    rows, cols, binning = _lag_plan(positions)
-    lower = projectors[:, rows, cols]
-    coefficients = np.concatenate([lower.real @ binning, lower.imag @ binning], axis=1)
+    plan = _lag_plan(positions)
+    lower = projectors[:, plan.rows, plan.cols]
+    coefficients = np.concatenate([lower.real @ plan.binning, lower.imag @ plan.binning], axis=1)
     trace = np.trace(projectors, axis1=1, axis2=2).real
     return (len(positions) - trace)[:, None] - 2.0 * coefficients @ table
 
@@ -212,9 +193,7 @@ def _music(rule, decompositions, positions, n_sources, grid_size, refine, algori
     table = _cached_table(positions[-1] - positions[0], grid_size)
     deficits = _deficits([s.signal_basis for s in decompositions], positions, table)
     spectrum = SpectrumGrid(grid_thetas(grid_size), rule(deficits))
-    gaps = tuple(float(s.eigenvalues[d - 1] - s.eigenvalues[d]) for s in decompositions)
-    estimate = find_peaks(spectrum, d, refine=refine, algorithm=algorithm, eigen_gaps=gaps)
-    return spectrum, estimate
+    return spectrum, find_peaks(spectrum, d, refine=refine, algorithm=algorithm)
 
 
 def _coarray_music(rule, subspaces, n_sources, grid_size, refine, algorithm):
@@ -331,7 +310,6 @@ def find_peaks(
     n_sources: int,
     refine: bool = True,
     algorithm: str = "music",
-    eigen_gaps: tuple[float, ...] | None = None,
 ) -> DoaEstimate:
     """Pick the ``n_sources`` largest spectrum peaks as direction estimates.
 
@@ -355,6 +333,4 @@ def find_peaks(
     if refine and not degraded:
         offsets = _parabolic_offsets(values[chosen - 1], values[chosen], values[chosen + 1])
         thetas = thetas + spectrum.step * offsets
-    return DoaEstimate(
-        thetas, algorithm, values[chosen], degraded=degraded, eigen_gaps=eigen_gaps
-    )
+    return DoaEstimate(thetas, algorithm, values[chosen], degraded=degraded)

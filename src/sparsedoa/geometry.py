@@ -7,6 +7,7 @@ elsewhere in this package), canonicalized so the first sensor sits at 0.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -51,6 +52,28 @@ def _as_positions(geometry, dtype=np.int64) -> np.ndarray:
     return np.asarray(positions, dtype=dtype)
 
 
+_LagPlan = namedtuple("_LagPlan", "lags first inverse counts rows cols binning")
+
+
+@lru_cache(maxsize=64)
+def _lag_plan(positions: tuple[int, ...]) -> _LagPlan:
+    """Which sensor pairs realise which lag: :func:`numpy.unique` of the pair lags
+    ``p_m - p_n`` in column-major order, the positive-lag pairs ``(rows, cols)`` in
+    that order, and ``binning[q, k - 1] = 1`` for pair ``q`` at lag ``k`` (read-only)."""
+    pos = np.asarray(positions, dtype=np.int64)
+    lag_of_pair = (pos[:, None] - pos[None, :]).ravel(order="F")
+    lags, first, inverse, counts = np.unique(
+        lag_of_pair, return_index=True, return_inverse=True, return_counts=True
+    )
+    pairs = np.flatnonzero(lag_of_pair > 0)
+    binning = np.zeros((pairs.size, int(lag_of_pair.max(initial=0))))
+    binning[np.arange(pairs.size), lag_of_pair[pairs] - 1] = 1.0
+    arrays = (first, inverse, counts, pairs % pos.size, pairs // pos.size, binning)
+    for array in arrays:
+        array.setflags(write=False)
+    return _LagPlan(tuple(lags.tolist()), *arrays)
+
+
 def _contiguous_half(lags) -> int:
     """Largest c such that every lag in [-c, c] is in ``lags`` (a set or a dict)."""
     c = 0
@@ -69,7 +92,7 @@ class ArrayGeometry:
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        pos = tuple(int(p) for p in self.positions)
+        pos = tuple(_as_positions(self.positions).tolist())
         object.__setattr__(self, "positions", pos)
         if not pos:
             raise ValueError("an array needs at least one sensor")
@@ -81,9 +104,7 @@ class ArrayGeometry:
     @classmethod
     def canonical(cls, positions) -> "ArrayGeometry":
         """Sort and shift arbitrary integer positions into canonical form."""
-        pos = sorted(int(p) for p in positions)
-        if not pos:
-            raise ValueError("an array needs at least one sensor")
+        pos = sorted(_as_positions(positions).tolist())
         if len(set(pos)) != len(pos):
             raise ValueError("duplicate sensor positions")
         return cls(tuple(p - pos[0] for p in pos))
@@ -137,11 +158,8 @@ def difference_coarray(geometry) -> CoarrayProfile:
         :class:`CoarrayProfile` with lags sorted ascending and the weight
         (pair multiplicity) of each lag.
     """
-    pos = _as_positions(geometry)
-    diffs = (pos[:, None] - pos[None, :]).ravel()
-    lags, counts = np.unique(diffs, return_counts=True)
-    weights = {int(l): int(c) for l, c in zip(lags, counts)}
-    return CoarrayProfile(tuple(int(l) for l in lags), weights)
+    plan = _lag_plan(tuple(_as_positions(geometry).tolist()))
+    return CoarrayProfile(plan.lags, dict(zip(plan.lags, plan.counts.tolist())))
 
 
 def build_ula(n: int) -> ArrayGeometry:

@@ -363,7 +363,6 @@ class _Draw:
     one eigendecomposition per subarray and ``gmusic`` never pays for it.
     """
 
-    base: ArrayGeometry
     layout: TypeIILayout
     sources: SourceSet
     covariances: tuple[np.ndarray, ...]
@@ -372,12 +371,13 @@ class _Draw:
     @cached_property
     def coarray_stage(self) -> tuple[tuple, tuple, tuple]:
         """Per subarray: coarray signals, smoothed covariances, subspaces."""
+        base = self.layout.base
         signals = tuple(
-            covariance_to_coarray(r, self.base, rule=self.dedup_rule) for r in self.covariances
+            covariance_to_coarray(r, base, rule=self.dedup_rule) for r in self.covariances
         )
         smoothed = tuple(spatial_smooth(sig, subarray_index=l) for l, sig in enumerate(signals))
         subspaces = tuple(signal_subspace(s, self.sources.count) for s in smoothed)
-        _read_only(*(sig.values for sig in signals), *(s.matrix for s in smoothed))
+        _read_only(*(sig.values for sig in signals), *(s.root for s in smoothed))
         for s in subspaces:
             _read_only(s.signal_basis, s.noise_basis, s.eigenvalues)
         return signals, smoothed, subspaces
@@ -397,8 +397,7 @@ def _draw(config: ExperimentConfig, snr_bits: int, trial_index: int,
     0.0 and -0.0 compare equal but seed different draws.
     """
     (snr_db,) = struct.unpack("<d", struct.pack("<Q", snr_bits))
-    base = config.geometries[geometry_index].build()
-    layout = compose_type2(base, config.n_subarrays, config.spacing)
+    layout = config.layout(geometry_index)
     sources = config.source_set()
     noise_power = noise_power_for_snr(snr_db, signal_power=config.source_power)
     if config.exact:
@@ -419,7 +418,7 @@ def _draw(config: ExperimentConfig, snr_bits: int, trial_index: int,
         batch = simulate_snapshots(scenario, rng=rng)
         covariances = tuple(sample_covariance(x) for x in batch.matrices)
     _read_only(*covariances)
-    return _Draw(base, layout, sources, covariances, config.dedup_rule)
+    return _Draw(layout, sources, covariances, config.dedup_rule)
 
 
 def run_trial(

@@ -10,7 +10,7 @@ from sparsedoa.coarray import (
     spatial_smooth,
 )
 from sparsedoa.errors import DegenerateCoarrayError, TooManySourcesError
-from sparsedoa.geometry import build_nested2, build_ula, difference_coarray
+from sparsedoa.geometry import build_mra, build_nested2, build_ula, difference_coarray
 from sparsedoa.sigmodel import (
     SourceSet,
     exact_covariance,
@@ -39,6 +39,33 @@ def coarray_value_oracle(lag, sources, noise_power):
     if lag == 0:
         value += noise_power
     return value
+
+
+def window_average_reference(signal):
+    """Forward smoothing written out: the average of the M window outer products."""
+    m = signal.contiguous_half + 1
+    center = signal.central_values()
+    windows = np.column_stack([center[m - i : 2 * m - i] for i in range(1, m + 1)])
+    smoothed = windows @ windows.conj().T / m
+    return (smoothed + smoothed.conj().T) / 2.0
+
+
+# Base positions of ula-7, naq2-4-3 and mra-7, and a nested base at offset 10.
+SMOOTHING_POSITIONS = [
+    build_ula(7).positions,
+    build_nested2(4, 3).positions,
+    build_mra(7).positions,
+    tuple(10 + p for p in build_nested2(3, 3).positions),
+]
+
+
+def sample_signal(positions, rule, seed=0):
+    """Coarray signal of a 60-snapshot sample covariance with three sources."""
+    rng = np.random.default_rng(seed)
+    a = steering_matrix(positions, (-0.45, 0.1, 0.55))
+    s = rng.standard_normal((3, 60)) + 1j * rng.standard_normal((3, 60))
+    noise = rng.standard_normal((a.shape[0], 60)) + 1j * rng.standard_normal((a.shape[0], 60))
+    return covariance_to_coarray(sample_covariance(a @ s + 0.5 * noise), positions, rule=rule)
 
 
 class TestCovarianceToCoarray:
@@ -153,6 +180,21 @@ class TestSpatialSmooth:
         signal = covariance_to_coarray(np.eye(2), build_ula(2))
         assert spatial_smooth(signal, subarray_index=2).subarray_index == 2
 
+    @pytest.mark.parametrize("rule", ["average", "first"])
+    @pytest.mark.parametrize("positions", SMOOTHING_POSITIONS)
+    def test_matrix_equals_window_average(self, positions, rule):
+        signal = sample_signal(positions, rule)
+        smoothed = spatial_smooth(signal)
+        np.testing.assert_allclose(
+            smoothed.matrix, window_average_reference(signal), rtol=1e-12, atol=0
+        )
+
+    def test_matrix_is_read_only(self):
+        smoothed = spatial_smooth(sample_signal(build_nested2(4, 3).positions, "average"))
+        assert not smoothed.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            smoothed.matrix[0, 0] = 1.0
+
 
 class TestSignalSubspace:
     def make_smoothed(self, thetas=(-0.4, 0.1, 0.6), noise_power=0.5):
@@ -219,6 +261,18 @@ class TestSignalSubspace:
             signal_subspace(smoothed, 15)
         with pytest.raises(ValueError):
             signal_subspace(smoothed, 0)
+
+    @pytest.mark.parametrize("rule", ["average", "first"])
+    @pytest.mark.parametrize("positions", SMOOTHING_POSITIONS)
+    def test_root_and_matrix_give_the_same_decomposition(self, positions, rule):
+        smoothed = spatial_smooth(sample_signal(positions, rule))
+        from_root = signal_subspace(smoothed, 3)
+        from_matrix = signal_subspace(np.array(smoothed.matrix), 3)
+        u, v = from_root.signal_basis, from_matrix.signal_basis
+        np.testing.assert_allclose(u @ u.conj().T, v @ v.conj().T, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            from_root.eigenvalues, from_matrix.eigenvalues, rtol=1e-10, atol=0
+        )
 
     def test_accepts_plain_matrices(self):
         r = np.diag([3.0, 2.0, 1.0]).astype(complex)

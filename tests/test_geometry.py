@@ -70,6 +70,16 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry.canonical([1, 1, 4])
 
+    def test_rejects_non_integer_positions(self):
+        with pytest.raises(ValueError, match="1.5"):
+            ArrayGeometry((0, 1.5, 2.7))
+        assert ArrayGeometry((0.0, 1.0, 3.0)).positions == (0, 1, 3)
+
+    def test_canonical_rejects_non_integer_positions(self):
+        with pytest.raises(ValueError, match="0.5"):
+            ArrayGeometry.canonical((0.5, 3.9))
+        assert ArrayGeometry.canonical((4.0, 1.0)).positions == (0, 3)
+
     def test_basic_properties(self):
         geom = ArrayGeometry((0, 1, 4, 6))
         assert geom.n_sensors == 4
@@ -80,7 +90,7 @@ class TestArrayGeometry:
 class TestDifferenceCoarray:
     @pytest.mark.parametrize(
         "positions",
-        [(0, 1), (0, 2, 3), (0, 1, 4, 9, 11), (0, 5, 7, 13, 16, 17)],
+        [(0, 1), (0, 2, 3), (0, 1, 4, 9, 11), (0, 5, 7, 13, 16, 17), (3, 0, 1), (0, 2, 2, 5)],
     )
     def test_lags_match_oracle(self, positions):
         profile = difference_coarray(positions)

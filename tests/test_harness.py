@@ -265,6 +265,11 @@ class TestRunTrial:
         assert artifacts.spectrum.values.size == config.grid_size
         assert run_trial(config, 10.0, "gca", 0).artifacts is None
 
+    def test_trials_never_build_the_smoothed_matrix(self):
+        harness._draw.cache_clear()  # a draw memoised by another test may hold a built one
+        artifacts = run_trial(small_config(), 10.0, "gca", 0, collect=True).artifacts
+        assert all("matrix" not in vars(s) for s in artifacts.smoothed)
+
     def test_gmusic_skips_coarray_artifacts(self):
         config = small_config(thetas=(-0.5, 0.5))
         result = run_trial(config, 10.0, "gmusic", 0, collect=True)
