@@ -30,7 +30,9 @@ __all__ = [
 #: Exhaustive minimum-redundancy search is only practical for small arrays.
 MRA_SENSOR_LIMIT = 10
 
-# Lag coverage during searches is tracked in a single Python int bitmask.
+# A cap on search cost, not on the lag bitmask (Python ints are unbounded):
+# the super-nested rearrangement enumerates every hole-free array of its
+# parent's size and aperture, a count that grows combinatorially with both.
 _SEARCH_APERTURE_LIMIT = 62
 
 
@@ -183,87 +185,44 @@ def build_nested2(n1: int, n2: int) -> ArrayGeometry:
     return ArrayGeometry(tuple(sorted({*inner, *outer})))
 
 
-def _iter_hole_free(n_sensors: int, aperture: int):
-    """Yield n-sensor hole-free geometries spanning exactly {0..aperture}.
+def _hole_free_arrays(n_sensors: int, aperture: int):
+    """Yield, once each and in no set order, every n-sensor array spanning
+    {0..aperture} whose difference coarray is hole free.
 
-    Geometries are emitted in ascending lexicographic order of their position
-    tuples.  Mirror images whose first interior position exceeds aperture/2
-    are skipped: every solution set is coarray- and weight-equivalent to its
-    reflection, and of the two only the lexicographically smaller one (whose
-    first interior position is <= aperture/2) is produced, which is the one
-    any lexicographic or weight-based selection would pick anyway.
-
-    Coverage is tracked as a bitmask over lags 1..aperture.  Branches are
-    pruned when the remaining sensors cannot contribute enough new pairs to
-    plug the remaining holes, or when the largest missing lag can no longer
-    be realized by any admissible pair.
+    Arrays are sorted position tuples.  Lag coverage is a bitmask over lags
+    1..aperture.  While lags are missing, the search branches on the ways to
+    realise the largest missing lag (the lag with the fewest candidate sensor
+    pairs) and prunes when the sensors left cannot add enough pairs to plug
+    the holes; once every lag is covered, it adds the remaining sensors at
+    any free positions.  A seen-set of position masks expands each position
+    set at most once, which also keeps the yields distinct.
     """
     if n_sensors == 1:
         if aperture == 0:
             yield (0,)
         return
-    if aperture < n_sensors - 1:
-        return
-    target = (1 << (aperture + 1)) - 2  # bits 1..aperture
-
-    def extend(interior, covered, lo):
-        remaining = n_sensors - 2 - len(interior)
-        holes = target & ~covered
-        missing = holes.bit_count()
-        if remaining == 0:
-            if missing == 0:
-                yield (0, *interior, aperture)
-            return
-        placed = len(interior) + 2
-        if missing > remaining * placed + remaining * (remaining - 1) // 2:
-            return
-        if holes:
-            # The largest missing lag g needs a pair (a, a + g).  When every
-            # admissible a lies below the next choosable position, a must be
-            # an already-placed sensor whose partner is still choosable.
-            g = holes.bit_length() - 1
-            a_max = aperture - g
-            if a_max < lo and not any(
-                a <= a_max and a + g >= lo for a in (0, *interior)
-            ):
-                return
-        hi = aperture - remaining
-        if not interior:
-            hi = min(hi, aperture // 2)
-        for p in range(lo, hi + 1):
-            cov = covered | (1 << p) | (1 << (aperture - p))
-            for q in interior:
-                cov |= 1 << abs(p - q)
-            yield from extend(interior + [p], cov, p + 1)
-
-    yield from extend([], 1 << aperture, 1)
-
-
-def _has_hole_free(n_sensors: int, aperture: int) -> bool:
-    """Decide whether some n-sensor array spans {0..aperture} hole free.
-
-    Branches on the ways to realize the largest missing lag (the lag with the
-    fewest candidate sensor pairs), which keeps infeasibility proofs small.
-    Position sets already explored are skipped via a seen-set.
-    """
-    if n_sensors == 1:
-        return aperture == 0
     if aperture < n_sensors - 1 or aperture > n_sensors * (n_sensors - 1) // 2:
-        return False
+        return
     target = (1 << (aperture + 1)) - 2
     seen = set()
 
-    def rec(posmask, positions, covered):
+    def extend(posmask, positions, covered):
+        if posmask in seen:
+            return
+        seen.add(posmask)
+        count = len(positions)
         holes = target & ~covered
         if not holes:
-            return True
-        count = len(positions)
-        if count >= n_sensors or posmask in seen:
-            return False
-        seen.add(posmask)
+            if count == n_sensors:
+                yield tuple(sorted(positions))
+                return
+            for x in range(1, aperture):
+                if not posmask & (1 << x):
+                    yield from extend(posmask | 1 << x, (*positions, x), covered)
+            return
         remaining = n_sensors - count
         if holes.bit_count() > remaining * count + remaining * (remaining - 1) // 2:
-            return False
+            return
         g = holes.bit_length() - 1
         for a in range(aperture - g + 1):
             missing_ends = [x for x in (a, a + g) if not posmask & (1 << x)]
@@ -276,12 +235,9 @@ def _has_hole_free(n_sensors: int, aperture: int) -> bool:
                     newcov |= 1 << abs(x - q)
                 newpos.append(x)
                 newmask |= 1 << x
-            if rec(newmask, tuple(newpos), newcov):
-                return True
-        return False
+            yield from extend(newmask, tuple(newpos), newcov)
 
-    init = (1 << 0) | (1 << aperture)
-    return rec(init, (0, aperture), 1 << aperture)
+    yield from extend((1 << 0) | (1 << aperture), (0, aperture), 1 << aperture)
 
 
 @lru_cache(maxsize=None)
@@ -290,9 +246,9 @@ def build_mra(n: int) -> ArrayGeometry:
 
     Finds the ``n``-sensor array of maximal aperture whose difference coarray
     is hole free, i.e. the classical restricted MRA.  Apertures are scanned
-    downward from the pair-count bound ``n(n-1)/2``; within the winning
-    aperture, ties are broken by the lexicographically smallest position
-    tuple.  Results are cached.
+    downward from the pair-count bound ``n(n-1)/2``; the first aperture with
+    any solution wins, and among its solutions the lexicographically smallest
+    position tuple.  Results are cached.
 
     Args:
         n: sensor count, ``1 <= n <= MRA_SENSOR_LIMIT``.
@@ -307,9 +263,8 @@ def build_mra(n: int) -> ArrayGeometry:
             f"exhaustive MRA search supports up to {MRA_SENSOR_LIMIT} sensors, got {n}"
         )
     for aperture in range(n * (n - 1) // 2, n - 2, -1):
-        if _has_hole_free(n, aperture):
-            found = next(_iter_hole_free(n, aperture), None)
-            assert found is not None, "feasibility and enumeration disagree"
+        found = min(_hole_free_arrays(n, aperture), default=None)
+        if found is not None:
             return ArrayGeometry(found)
     raise AssertionError("unreachable: the ULA aperture is always feasible")
 
@@ -330,8 +285,8 @@ def build_super_nested2(n1: int, n2: int) -> ArrayGeometry:
     touching its difference coarray: the result has the same sensor count,
     the same aperture, and an identical (hole-free) lag set, but concentrates
     fewer sensor pairs at small separations, which lowers mutual coupling.
-    Among all coarray-preserving rearrangements the builder picks the one
-    whose positive-lag weight vector ``(w(1), w(2), ...)`` is
+    Among all hole-free arrays of that size and aperture the builder picks
+    the one whose positive-lag weight vector ``(w(1), w(2), ...)`` is
     lexicographically smallest, breaking remaining ties by the smallest
     position tuple, so the construction is deterministic.
 
@@ -354,13 +309,11 @@ def build_super_nested2(n1: int, n2: int) -> ArrayGeometry:
             f"rearrangement search supports apertures up to {_SEARCH_APERTURE_LIMIT}, "
             f"got {aperture}"
         )
-    best = None
-    best_key = None
-    for candidate in _iter_hole_free(parent.n_sensors, aperture):
-        key = (_positive_weights(candidate, aperture), candidate)
-        if best_key is None or key < best_key:
-            best, best_key = candidate, key
-    assert best is not None  # the parent itself is hole free
+    # The parent itself is hole free, so there is always a candidate.
+    best = min(
+        _hole_free_arrays(parent.n_sensors, aperture),
+        key=lambda c: (_positive_weights(c, aperture), c),
+    )
     return ArrayGeometry(best)
 
 

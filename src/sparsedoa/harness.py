@@ -156,13 +156,13 @@ class GeometrySpec:
         raise ValueError(f"cannot interpret geometry {value!r}")
 
     def build(self) -> ArrayGeometry:
-        if self.kind == "ula":
-            return build_ula(self.n)
-        if self.kind == "mra":
-            return build_mra(self.n)
-        if self.kind == "naq2":
-            return build_nested2(self.n1, self.n2)
-        return build_super_nested2(self.n1, self.n2)
+        builder = {"ula": build_ula, "mra": build_mra, "naq2": build_nested2,
+                   "snaq2": build_super_nested2}[self.kind]
+        sizes = (self.n,) if self.kind in ("ula", "mra") else (self.n1, self.n2)
+        try:
+            return builder(*sizes)
+        except ValueError as exc:
+            raise ValueError(f"geometry {self.label!r}: {exc}") from exc
 
 
 _REQUIRED = object()
@@ -525,8 +525,9 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
     each trial's randomness is keyed by its coordinates alone.  Results
     come back in config order (geometry, then algorithm, then SNR), one row
     per position, so repeated labels, algorithms or SNRs each keep their
-    own row.  When ``out_path`` is given the CSV is written there; the file
-    is opened before any computation so a bad path fails fast.
+    own row.  Every geometry is built before ``out_path`` is opened, so one
+    that cannot be built fails before any trial and leaves an existing file
+    as it was; a bad path also fails before any trial.
 
     Args:
         config: experiment description.
@@ -539,6 +540,8 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
     geometry_indices = range(len(config.geometries))
     snr_indices = range(len(config.snr_db_list))
     groups = [(gi, si) for gi in geometry_indices for si in snr_indices]
+    for gi in geometry_indices:
+        config.layout(gi)
     handle = open(out_path, "w", newline="") if out_path is not None else None
     try:
         runner = partial(_run_group, config)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from sparsedoa import harness
 from sparsedoa.cli import main
 
 
@@ -162,6 +163,29 @@ class TestSweepCommand:
         assert code == 1
         assert err.startswith("error:")
         assert not out_csv.exists()
+
+    def test_unbuildable_geometry_exits_one_before_any_trial(
+        self, capsys, monkeypatch, config_path, tmp_path
+    ):
+        trials = []
+        run_trial = harness.run_trial
+
+        def recorded(*args, **kwargs):
+            trials.append(args)
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", recorded)
+        data = json.loads(config_path.read_text())
+        data.pop("geometry")
+        data["geometries"] = ["ula-7", "mra-11"]
+        config_path.write_text(json.dumps(data))
+        out_csv = tmp_path / "curves.csv"
+        out_csv.write_bytes(b"geometry,algorithm\nula-7,gca\n")
+        code = main(["sweep", "--config", str(config_path), "--out", str(out_csv)])
+        assert code == 1
+        assert "geometry 'mra-11': " in capsys.readouterr().err
+        assert trials == []
+        assert out_csv.read_bytes() == b"geometry,algorithm\nula-7,gca\n"
 
     def test_bad_output_path_exits_one(self, capsys, config_path, tmp_path):
         code = main(["sweep", "--config", str(config_path),

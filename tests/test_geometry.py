@@ -8,6 +8,7 @@ import pytest
 from sparsedoa.geometry import (
     ArrayGeometry,
     CoarrayProfile,
+    _hole_free_arrays,
     build_mra,
     build_nested2,
     build_super_nested2,
@@ -162,7 +163,40 @@ class TestNested2:
             build_nested2(3, 0)
 
 
+def hole_free_oracle(n, aperture):
+    """Every n-sensor hole-free array spanning {0..aperture}, by brute force."""
+    if n == 1:
+        return {(0,)} if aperture == 0 else set()
+    if aperture == 0:
+        return set()
+    candidates = (
+        (0, *mid, aperture) for mid in itertools.combinations(range(1, aperture), n - 2)
+    )
+    return {c for c in candidates if is_hole_free_oracle(c)}
+
+
+class TestHoleFreeArrays:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_brute_force(self, n):
+        for aperture in range(18):
+            found = list(_hole_free_arrays(n, aperture))
+            assert len(found) == len(set(found)), (n, aperture)
+            assert set(found) == hole_free_oracle(n, aperture), (n, aperture)
+
+
 class TestSuperNested2:
+    @pytest.mark.parametrize("n1,n2", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)])
+    def test_matches_brute_force_selection(self, n1, n2):
+        """Smallest positive-lag weight vector, then smallest positions."""
+        parent = build_nested2(n1, n2)
+
+        def key(positions):
+            weights = brute_weights(positions)
+            return [weights.get(k, 0) for k in range(1, parent.aperture + 1)], positions
+
+        expected = min(hole_free_oracle(parent.n_sensors, parent.aperture), key=key)
+        assert build_super_nested2(n1, n2).positions == expected
+
     @pytest.mark.parametrize(
         "n1,n2,expected",
         [

@@ -58,6 +58,12 @@ class TestGeometrySpec:
         with pytest.raises(ValueError):
             GeometrySpec.parse(label)
 
+    @pytest.mark.parametrize("label", ["ula-0", "naq2-0-3", "snaq2-2-3", "mra-11"])
+    def test_build_errors_name_the_geometry(self, label):
+        spec = GeometrySpec.parse(label)
+        with pytest.raises(ValueError, match=f"^geometry '{label}': "):
+            spec.build()
+
     def test_rejects_mismatched_parameters(self):
         with pytest.raises(ValueError):
             GeometrySpec("ula", n1=3, n2=2)
@@ -389,6 +395,23 @@ class TestDrawSharing:
 
 
 class TestSweep:
+    def test_unbuildable_geometry_fails_before_any_trial(self, monkeypatch, tmp_path):
+        groups = []
+        run_group = harness._run_group
+
+        def recorded(config, group):
+            groups.append(group)
+            return run_group(config, group)
+
+        monkeypatch.setattr(harness, "_run_group", recorded)
+        out = tmp_path / "curves.csv"
+        out.write_bytes(b"previous results\n")
+        config = small_config(geometries=("ula-7", "mra-11"), trials=1)
+        with pytest.raises(ValueError, match="'mra-11'"):
+            sweep(config, out_path=out)
+        assert groups == []
+        assert out.read_bytes() == b"previous results\n"
+
     def test_returns_cells_in_config_order(self):
         config = small_config(
             geometries=("ula-7", "naq2-4-3"),
