@@ -280,19 +280,14 @@ def g_music(
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
-    """Indices of strict local maxima; plateaus resolve to their left edge."""
-    diffs = np.sign(np.diff(values))
-    nonzero = np.flatnonzero(diffs)
-    if nonzero.size == 0:
-        return np.empty(0, dtype=np.intp)
-    # Next nonzero slope at or after each position (0 past the end).
-    slot = np.searchsorted(nonzero, np.arange(diffs.size))
-    next_slope = np.where(
-        slot < nonzero.size, diffs[nonzero[np.minimum(slot, nonzero.size - 1)]], 0
-    )
-    interior = np.arange(1, values.size - 1)
-    is_peak = (diffs[interior - 1] == 1) & (next_slope[interior] == -1)
-    return interior[is_peak]
+    """Indices of strict local maxima, one per run of equal values.
+
+    A run counts at its first index and is a peak when both neighbouring
+    runs are lower.  Each NaN and each infinity is a run of its own.
+    """
+    starts = np.flatnonzero(np.diff(values, prepend=np.nan) != 0)
+    v = values[starts]
+    return starts[1:-1][(v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])]
 
 
 def _parabolic_offsets(left, center, right) -> np.ndarray:

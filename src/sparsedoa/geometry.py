@@ -27,13 +27,9 @@ __all__ = [
     "MRA_SENSOR_LIMIT",
 ]
 
-#: Exhaustive minimum-redundancy search is only practical for small arrays.
+#: Largest sensor count for either hole-free search (minimum-redundancy and
+#: super-nested): both grow combinatorially with it, to seconds past 10.
 MRA_SENSOR_LIMIT = 10
-
-# A cap on search cost, not on the lag bitmask (Python ints are unbounded):
-# the super-nested rearrangement enumerates every hole-free array of its
-# parent's size and aperture, a count that grows combinatorially with both.
-_SEARCH_APERTURE_LIMIT = 62
 
 
 def _as_positions(geometry, dtype=np.int64) -> np.ndarray:
@@ -292,23 +288,23 @@ def build_super_nested2(n1: int, n2: int) -> ArrayGeometry:
 
     Args:
         n1: dense-level size of the parent nested array, ``n1 >= 3``.
-        n2: sparse-level size of the parent nested array, ``n2 >= 2``.
+        n2: sparse-level size of the parent nested array, ``n2 >= 2``;
+            ``n1 + n2 <= MRA_SENSOR_LIMIT``.
 
     Raises:
-        ValueError: for out-of-range level sizes or parents too large for
-            the rearrangement search.
+        ValueError: for out-of-range level sizes or parents with more than
+            ``MRA_SENSOR_LIMIT`` sensors.
     """
     if n1 < 3 or n2 < 2:
         raise ValueError(
             f"second-order rearrangement needs n1 >= 3 and n2 >= 2, got ({n1}, {n2})"
         )
+    if n1 + n2 > MRA_SENSOR_LIMIT:
+        raise ValueError(
+            f"rearrangement search supports up to {MRA_SENSOR_LIMIT} sensors, got {n1 + n2}"
+        )
     parent = build_nested2(n1, n2)
     aperture = parent.aperture
-    if aperture > _SEARCH_APERTURE_LIMIT:
-        raise ValueError(
-            f"rearrangement search supports apertures up to {_SEARCH_APERTURE_LIMIT}, "
-            f"got {aperture}"
-        )
     # The parent itself is hole free, so there is always a candidate.
     best = min(
         _hole_free_arrays(parent.n_sensors, aperture),

@@ -532,7 +532,8 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
     Args:
         config: experiment description.
         out_path: optional CSV destination.
-        workers: process count; 1 means run in this process.
+        workers: process count, at least 1, checked before ``out_path`` is
+            opened; 1 means run in this process.
 
     Returns:
         One :class:`RmseCurve` per cell.
@@ -540,12 +541,14 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
     geometry_indices = range(len(config.geometries))
     snr_indices = range(len(config.snr_db_list))
     groups = [(gi, si) for gi in geometry_indices for si in snr_indices]
+    if _integer("workers", workers) < 1:
+        raise ValueError(f"'workers' must be at least 1, got {workers}")
     for gi in geometry_indices:
         config.layout(gi)
     handle = open(out_path, "w", newline="") if out_path is not None else None
     try:
         runner = partial(_run_group, config)
-        if workers <= 1:
+        if workers == 1:
             rows = [runner(group) for group in groups]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsedoa import harness
+from sparsedoa import geometry, harness
 from sparsedoa.cli import main
 
 
@@ -58,6 +58,15 @@ class TestGeometryCommand:
         code = main(["geometry", "--kind", "naq2", "--n", "7"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_parent_beyond_the_sensor_limit_exits_one(self, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched a parent beyond the limit")
+
+        monkeypatch.setattr(geometry, "_hole_free_arrays", no_search)
+        code = main(["geometry", "--kind", "snaq2", "--n1", "30", "--n2", "2"])
+        assert code == 1
+        assert "geometry 'snaq2-30-2': " in capsys.readouterr().err
 
     def test_unknown_kind_is_an_argparse_error(self):
         with pytest.raises(SystemExit):
@@ -186,6 +195,15 @@ class TestSweepCommand:
         assert "geometry 'mra-11': " in capsys.readouterr().err
         assert trials == []
         assert out_csv.read_bytes() == b"geometry,algorithm\nula-7,gca\n"
+
+    def test_workers_below_one_exit_one(self, capsys, config_path, tmp_path):
+        out_csv = tmp_path / "curves.csv"
+        code = main(["sweep", "--config", str(config_path), "--out", str(out_csv),
+                     "--workers", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "'workers'" in err
+        assert not out_csv.exists()
 
     def test_bad_output_path_exits_one(self, capsys, config_path, tmp_path):
         code = main(["sweep", "--config", str(config_path),

@@ -1,8 +1,13 @@
 """Spectra, the merged projector, and peak picking."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsedoa import estimators
 from sparsedoa.coarray import covariance_to_coarray, signal_subspace, spatial_smooth
 from sparsedoa.errors import TooManySourcesError
 from sparsedoa.estimators import (
@@ -10,6 +15,7 @@ from sparsedoa.estimators import (
     MergedProjector,
     SpectrumGrid,
     _deficits,
+    _local_maxima,
     _parabolic_offsets,
     _trig_table,
     avca_music,
@@ -337,6 +343,56 @@ class TestFindPeaks:
             find_peaks(self.grid([0, 1, 0]), 0)
         with pytest.raises(ValueError):
             find_peaks(SpectrumGrid(np.array([-1.0, 1.0]), np.array([0.0, 1.0])), 1)
+
+
+def reference_local_maxima(values):
+    """Oracle: a strict local maximum rises into its position and falls at
+    the next nonzero slope, so plateaus count once, at their left edge."""
+    diffs = np.sign(np.diff(values))
+    nonzero = np.flatnonzero(diffs)
+    if nonzero.size == 0:
+        return np.empty(0, dtype=np.intp)
+    # Next nonzero slope at or after each position (0 past the end).
+    slot = np.searchsorted(nonzero, np.arange(diffs.size))
+    next_slope = np.where(
+        slot < nonzero.size, diffs[nonzero[np.minimum(slot, nonzero.size - 1)]], 0
+    )
+    interior = np.arange(1, values.size - 1)
+    is_peak = (diffs[interior - 1] == 1) & (next_slope[interior] == -1)
+    return interior[is_peak]
+
+
+# A small value set makes ties and plateaus common; any float may also appear.
+tie_prone_floats = st.one_of(
+    st.sampled_from([-1.0, 0.0, 1.0, 2.0, np.nan, np.inf, -np.inf]), st.floats()
+)
+
+
+def tie_prone_arrays(min_size):
+    return st.lists(tie_prone_floats, min_size=min_size, max_size=60).map(np.array)
+
+
+class TestLocalMaximaProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(tie_prone_arrays(min_size=1))
+    def test_matches_the_slope_reference(self, values):
+        with np.errstate(invalid="ignore"):
+            found = _local_maxima(values)
+            expected = reference_local_maxima(values)
+        assert found.dtype == expected.dtype
+        assert np.array_equal(found, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_prone_arrays(min_size=3), st.integers(1, 4), st.booleans())
+    def test_find_peaks_matches_the_slope_reference(self, values, n_sources, refine):
+        spectrum = SpectrumGrid(np.linspace(-1.0, 1.0, values.size), values)
+        with np.errstate(all="ignore"):
+            found = find_peaks(spectrum, n_sources, refine=refine)
+            with mock.patch.object(estimators, "_local_maxima", reference_local_maxima):
+                expected = find_peaks(spectrum, n_sources, refine=refine)
+        assert np.array_equal(found.thetas, expected.thetas, equal_nan=True)
+        assert np.array_equal(found.peak_values, expected.peak_values, equal_nan=True)
+        assert found.degraded == expected.degraded
 
 
 class TestDenominatorFloor:

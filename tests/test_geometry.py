@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from sparsedoa import geometry
 from sparsedoa.geometry import (
+    MRA_SENSOR_LIMIT,
     ArrayGeometry,
     CoarrayProfile,
     _hole_free_arrays,
@@ -227,6 +229,15 @@ class TestSuperNested2:
     def test_rejects_small_inner_level(self):
         with pytest.raises(ValueError):
             build_super_nested2(2, 3)
+
+    @pytest.mark.parametrize("n1,n2", [(9, 2), (30, 2)])
+    def test_rejects_parents_beyond_the_sensor_limit(self, monkeypatch, n1, n2):
+        def no_search(*args):
+            raise AssertionError("searched a parent beyond the limit")
+
+        monkeypatch.setattr(geometry, "_hole_free_arrays", no_search)
+        with pytest.raises(ValueError, match=f"up to {MRA_SENSOR_LIMIT} sensors"):
+            build_super_nested2(n1, n2)
 
 
 class TestMra:

@@ -58,7 +58,9 @@ class TestGeometrySpec:
         with pytest.raises(ValueError):
             GeometrySpec.parse(label)
 
-    @pytest.mark.parametrize("label", ["ula-0", "naq2-0-3", "snaq2-2-3", "mra-11"])
+    @pytest.mark.parametrize(
+        "label", ["ula-0", "naq2-0-3", "snaq2-2-3", "mra-11", "snaq2-30-2"]
+    )
     def test_build_errors_name_the_geometry(self, label):
         spec = GeometrySpec.parse(label)
         with pytest.raises(ValueError, match=f"^geometry '{label}': "):
@@ -409,6 +411,17 @@ class TestSweep:
         config = small_config(geometries=("ula-7", "mra-11"), trials=1)
         with pytest.raises(ValueError, match="'mra-11'"):
             sweep(config, out_path=out)
+        assert groups == []
+        assert out.read_bytes() == b"previous results\n"
+
+    @pytest.mark.parametrize("workers", [2.5, "2", None, True, 0, -1])
+    def test_bad_workers_fail_before_any_trial(self, monkeypatch, tmp_path, workers):
+        groups = []
+        monkeypatch.setattr(harness, "_run_group", lambda config, group: groups.append(group))
+        out = tmp_path / "curves.csv"
+        out.write_bytes(b"previous results\n")
+        with pytest.raises(ValueError, match="'workers'"):
+            sweep(small_config(trials=1), out_path=out, workers=workers)
         assert groups == []
         assert out.read_bytes() == b"previous results\n"
 
