@@ -95,6 +95,14 @@ def _finite_reals(key: str, values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _noise_powers(key: str, snrs, signal_power: float) -> tuple[float, ...]:
+    """Noise power at each SNR in dB, naming ``key`` if one is not finite."""
+    try:
+        return tuple(noise_power_for_snr(snr_db, signal_power) for snr_db in snrs)
+    except ValueError as exc:
+        raise ValueError(f"{key!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class GeometrySpec:
     """Named recipe for a subarray geometry.
@@ -247,6 +255,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key!r} must be true or false, got {getattr(self, key)!r}")
         (power,) = _finite_reals("source_power", [self.source_power])
         object.__setattr__(self, "source_power", power)
+        _noise_powers("snr_db_list", self.snr_db_list, power)
         if self.dedup_rule not in ("average", "first"):
             raise ValueError(f"unknown dedup rule {self.dedup_rule!r}")
         # Source ordering/range/count/power checks live in SourceSet.
@@ -399,24 +408,17 @@ def _draw(config: ExperimentConfig, snr_bits: int, trial_index: int,
     (snr_db,) = struct.unpack("<d", struct.pack("<Q", snr_bits))
     layout = config.layout(geometry_index)
     sources = config.source_set()
-    noise_power = noise_power_for_snr(snr_db, signal_power=config.source_power)
+    (noise_power,) = _noise_powers("snr_db", [snr_db], config.source_power)
     if config.exact:
         covariances = tuple(
             exact_covariance(layout.subarray_positions(l), sources, noise_power)
             for l in range(layout.n_subarrays)
         )
     else:
-        scenario = Scenario(
-            layout=layout,
-            sources=sources,
-            noise_power=noise_power,
-            snapshots=config.snapshots,
-        )
-        rng = np.random.default_rng(
-            trial_seed_sequence(config.seed, geometry_index, snr_db, trial_index)
-        )
-        batch = simulate_snapshots(scenario, rng=rng)
-        covariances = tuple(sample_covariance(x) for x in batch.matrices)
+        scenario = Scenario(layout, sources, noise_power, config.snapshots)
+        keys = trial_seed_sequence(config.seed, geometry_index, snr_db, trial_index)
+        batch = simulate_snapshots(scenario, rng=np.random.default_rng(keys))
+        covariances = tuple(sample_covariance(batch.matrices))
     _read_only(*covariances)
     return _Draw(layout, sources, covariances, config.dedup_rule)
 

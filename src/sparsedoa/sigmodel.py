@@ -139,16 +139,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SnapshotBatch:
-    """Simulated data: one ``n_sensors x snapshots`` matrix per subarray."""
+    """Simulated data: an ``(L, n_sensors, snapshots)`` stack, one matrix per subarray."""
 
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
     phase_shifts: np.ndarray
-
-
-def _complex_gaussian(rng: np.random.Generator, shape, variance) -> np.ndarray:
-    """Circular complex Gaussian draws; real/imag parts are N(0, variance/2)."""
-    scale = np.sqrt(np.asarray(variance, dtype=np.float64) / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def simulate_snapshots(
@@ -172,7 +166,9 @@ def simulate_snapshots(
         rng: generator to consume; defaults to one seeded from the scenario.
             Signal, noise, and phase draws come from independent child
             streams spawned off this generator, so pinning ``phases`` never
-            shifts the signal or noise realizations.
+            shifts the signal or noise realizations.  The signal stream yields
+            the real then the imaginary waveform block, the noise stream the
+            real then the imaginary noise block of each subarray in turn.
         phases: optional per-subarray phase offsets overriding the draw.
         pin_reference_phase: zero the first subarray's drawn offset, for
             experiments that treat subarray 0 as the calibration reference.
@@ -181,14 +177,9 @@ def simulate_snapshots(
         rng = np.random.default_rng(scenario.seed)
     signal_rng, noise_rng, phase_rng = rng.spawn(3)
 
-    layout = scenario.layout
-    n_sub = layout.n_subarrays
-    n_snap = scenario.snapshots
     sources = scenario.sources
-
-    waveforms = _complex_gaussian(
-        signal_rng, (sources.count, n_snap), 1.0
-    ) * np.sqrt(sources.power_array)[:, None]
+    positions = np.add.outer(scenario.layout.offsets, scenario.layout.base.positions)
+    n_sub, n_sensors = positions.shape
 
     if phases is None:
         offsets = phase_rng.uniform(0.0, 2.0 * np.pi, n_sub)
@@ -199,27 +190,34 @@ def simulate_snapshots(
         if offsets.shape != (n_sub,):
             raise ValueError(f"expected {n_sub} phase offsets, got shape {offsets.shape}")
 
-    matrices = []
-    for l in range(n_sub):
-        a_l = steering_matrix(layout.subarray_positions(l), sources)
-        noise = _complex_gaussian(noise_rng, (a_l.shape[0], n_snap), scenario.noise_power)
-        matrices.append(np.exp(-1j * offsets[l]) * (a_l @ waveforms + noise))
-    return SnapshotBatch(tuple(matrices), offsets)
+    steering = steering_matrix(positions.ravel(), sources).reshape(n_sub, n_sensors, -1)
+    signal = signal_rng.standard_normal((2, sources.count, scenario.snapshots))
+    waveforms = np.sqrt(0.5) * (signal[0] + 1j * signal[1]) * np.sqrt(sources.power_array)[:, None]
+    noise = noise_rng.standard_normal((n_sub, 2, n_sensors, scenario.snapshots))
+    noise = np.sqrt(scenario.noise_power / 2.0) * (noise[:, 0] + 1j * noise[:, 1])
+    rotations = np.exp(-1j * offsets)[:, None, None]
+    return SnapshotBatch(rotations * (steering @ waveforms + noise), offsets)
 
 
 def sample_covariance(snapshots: np.ndarray) -> np.ndarray:
-    """Biased sample covariance ``X X^H / T`` of one snapshot matrix.
+    """Biased sample covariance ``X X^H / T`` of each matrix of a ``(..., N, T)`` stack.
 
     The product is re-symmetrized so the result is exactly Hermitian; raw
     matrix products differ between mirrored entries by rounding noise.
     """
     x = np.asarray(snapshots)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("snapshot matrix must be 2-D with at least one snapshot")
-    r = x @ x.conj().T / x.shape[1]
-    return (r + r.conj().T) / 2.0
+    if x.ndim < 2 or x.shape[-1] < 1:
+        raise ValueError("snapshots must be at least 2-D with at least one snapshot")
+    r = x @ x.conj().swapaxes(-1, -2) / x.shape[-1]
+    return (r + r.conj().swapaxes(-1, -2)) / 2.0
 
 
 def noise_power_for_snr(snr_db: float, signal_power: float = 1.0) -> float:
-    """Noise power giving the requested per-source SNR in dB."""
-    return float(signal_power) * 10.0 ** (-float(snr_db) / 10.0)
+    """Noise power giving the requested per-source SNR in dB; ValueError unless finite."""
+    try:
+        power = float(signal_power) * 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        power = np.inf
+    if np.isfinite(power):
+        return power
+    raise ValueError(f"SNR {snr_db:g} dB at signal power {signal_power:g}: no finite noise power")

@@ -112,7 +112,9 @@ class TestRunCommand:
             assert data["estimates"].shape == (6,)
 
     @pytest.mark.parametrize(
-        "flags,key", [(["--snr", "nan"], "snr_db"), (["--trial", "-1"], "trial_index")]
+        "flags,key",
+        [(["--snr", "nan"], "snr_db"), (["--trial", "-1"], "trial_index"),
+         (["--snr", "-4000"], "snr_db")],
     )
     def test_bad_snr_or_trial_exits_one(self, capsys, config_path, flags, key):
         code = main(["run", "--config", str(config_path), "--algorithm", "gca", *flags])
@@ -195,6 +197,21 @@ class TestSweepCommand:
         assert "geometry 'mra-11': " in capsys.readouterr().err
         assert trials == []
         assert out_csv.read_bytes() == b"geometry,algorithm\nula-7,gca\n"
+
+    def test_snr_without_a_finite_noise_power_keeps_the_output(
+        self, capsys, config_path, tmp_path
+    ):
+        data = json.loads(config_path.read_text())
+        data.pop("snr_sweep")
+        data["snr_db"] = -4000
+        config_path.write_text(json.dumps(data))
+        out_csv = tmp_path / "curves.csv"
+        out_csv.write_bytes(b"previous results\n")
+        code = main(["sweep", "--config", str(config_path), "--out", str(out_csv)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "'snr_db_list'" in err
+        assert out_csv.read_bytes() == b"previous results\n"
 
     def test_workers_below_one_exit_one(self, capsys, config_path, tmp_path):
         out_csv = tmp_path / "curves.csv"

@@ -131,6 +131,7 @@ class TestLagKernel:
             tuple(range(29)),  # the virtual ULA of naq2-4-3
             build_mra(7).positions,
             tuple(10 + p for p in build_nested2(3, 3).positions),  # a base at offset 10
+            (0, 1, 4, 9, 11, 15, 16),  # lag 13 missing: zero columns in the lag binning
         ],
     )
     def test_matches_explicit_projection_residual(self, positions):

@@ -193,6 +193,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"'{field}'"):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"snr_db_list": (-4000.0,)}, {"snr_db_list": (0.0, -100.0), "source_power": 1e300}],
+    )
+    def test_snrs_need_a_finite_noise_power(self, overrides):
+        with pytest.raises(ValueError, match="'snr_db_list'"):
+            small_config(**overrides)
+
+    def test_source_power_is_named_before_the_snrs(self):
+        with pytest.raises(ValueError, match="'source_power'"):
+            small_config(snr_db_list=(-4000.0,), source_power=float("nan"))
+
     def test_rejects_unknown_dedup_rule(self):
         with pytest.raises(ValueError, match="dedup rule"):
             small_config(dedup_rule="median")
@@ -230,6 +242,10 @@ class TestTrialSeeding:
 
 
 class TestRunTrial:
+    def test_snr_without_a_finite_noise_power_is_named(self):
+        with pytest.raises(ValueError, match="'snr_db'"):
+            run_trial(small_config(), -4000.0, "gca", 0)
+
     def test_deterministic(self):
         config = small_config()
         a = run_trial(config, 10.0, "gca", 2)

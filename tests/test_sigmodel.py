@@ -120,6 +120,16 @@ class TestNoisePower:
     def test_scales_with_signal_power(self):
         assert noise_power_for_snr(0.0, signal_power=4.0) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize(
+        "snr_db,signal_power", [(-4000.0, 1.0), (-100.0, 1e300), (0.0, float("nan"))]
+    )
+    def test_rejects_powers_that_are_not_finite(self, snr_db, signal_power):
+        with pytest.raises(ValueError, match="no finite noise power"):
+            noise_power_for_snr(snr_db, signal_power)
+
+    def test_underflow_to_zero_noise_is_accepted(self):
+        assert noise_power_for_snr(4000.0) == 0.0
+
 
 class TestSimulateSnapshots:
     def test_shapes(self):
@@ -187,6 +197,56 @@ class TestSimulateSnapshots:
                                phases=np.array([0.1, 0.2]))
 
 
+def _looped_snapshots(scenario, rng, phases=None, pin_reference_phase=False):
+    """One steering matrix and one noise draw per subarray: the stacked draw's reference."""
+    def complex_gaussian(stream, shape, variance):
+        scale = np.sqrt(np.asarray(variance, dtype=np.float64) / 2.0)
+        return scale * (stream.standard_normal(shape) + 1j * stream.standard_normal(shape))
+
+    signal_rng, noise_rng, phase_rng = rng.spawn(3)
+    layout, sources = scenario.layout, scenario.sources
+    waveforms = complex_gaussian(
+        signal_rng, (sources.count, scenario.snapshots), 1.0
+    ) * np.sqrt(sources.power_array)[:, None]
+    if phases is None:
+        offsets = phase_rng.uniform(0.0, 2.0 * np.pi, layout.n_subarrays)
+        if pin_reference_phase:
+            offsets[0] = 0.0
+    else:
+        offsets = np.asarray(phases, dtype=np.float64)
+    matrices = []
+    for l in range(layout.n_subarrays):
+        a_l = steering_matrix(layout.subarray_positions(l), sources)
+        noise = complex_gaussian(noise_rng, (a_l.shape[0], scenario.snapshots),
+                                 scenario.noise_power)
+        matrices.append(np.exp(-1j * offsets[l]) * (a_l @ waveforms + noise))
+    return matrices, offsets
+
+
+class TestStackedDrawMatchesLoop:
+    """One stacked draw consumes the substreams in the old loop's order."""
+
+    @pytest.mark.parametrize("n_subarrays", [1, 3])
+    @pytest.mark.parametrize("spacing", [1, 4])
+    @pytest.mark.parametrize("phase_mode", ["free", "pinned", "explicit"])
+    def test_bit_identical_to_per_subarray_loop(self, n_subarrays, spacing, phase_mode):
+        layout = compose_type2(build_nested2(4, 3), n_subarrays, spacing)
+        scenario = Scenario(layout=layout, sources=SourceSet((-0.4, 0.1, 0.6), (1.0, 0.5, 2.0)),
+                            noise_power=0.3, snapshots=37)
+        kwargs = {
+            "free": {},
+            "pinned": {"pin_reference_phase": True},
+            "explicit": {"phases": np.linspace(0.2, 2.9, n_subarrays)},
+        }[phase_mode]
+        batch = simulate_snapshots(scenario, rng=np.random.default_rng(17), **kwargs)
+        matrices, offsets = _looped_snapshots(scenario, np.random.default_rng(17), **kwargs)
+        assert batch.matrices.shape == (n_subarrays, 7, 37)
+        assert len(batch.matrices) == n_subarrays
+        for stacked, looped in zip(batch.matrices, matrices, strict=True):
+            assert np.array_equal(stacked, looped)
+        assert np.array_equal(batch.phase_shifts, offsets)
+
+
 class TestSampleCovariance:
     def test_hermitian(self):
         rng = np.random.default_rng(1)
@@ -198,6 +258,15 @@ class TestSampleCovariance:
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(ValueError):
             sample_covariance(np.ones(5))
+
+    def test_stack_matches_per_matrix_calls(self):
+        batch = simulate_snapshots(make_scenario(), rng=np.random.default_rng(4))
+        stacked = sample_covariance(batch.matrices)
+        assert stacked.shape == (3, 7, 7)
+        for r, x in zip(stacked, batch.matrices, strict=True):
+            assert np.array_equal(r, sample_covariance(x))
+        with pytest.raises(ValueError):
+            sample_covariance(np.ones((3, 4, 0)))
 
     def test_converges_to_exact_covariance(self):
         """Every entry lands within 3 standard errors at T = 1e5."""
