@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .geometry import compose_type2, difference_coarray, dof_bound
-from .harness import ALGORITHMS, ExperimentConfig, GeometrySpec, run_trial, sweep
+from .harness import _GEOMETRY_KINDS, ALGORITHMS, ExperimentConfig, GeometrySpec, run_trial, sweep
 
 
 def _cmd_geometry(args) -> int:
@@ -121,10 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     geo = commands.add_parser("geometry", help="inspect an array and its coarray")
-    geo.add_argument("--kind", required=True, choices=["ula", "naq2", "snaq2", "mra"])
-    geo.add_argument("--n", type=int, help="sensor count (ula, mra)")
-    geo.add_argument("--n1", type=int, help="inner level size (naq2, snaq2)")
-    geo.add_argument("--n2", type=int, help="outer level size (naq2, snaq2)")
+    geo.add_argument("--kind", required=True, choices=list(_GEOMETRY_KINDS))
+    for key, meaning in [("n", "sensor count"), ("n1", "inner level size"),
+                         ("n2", "outer level size")]:
+        kinds = [kind for kind, (_, keys) in _GEOMETRY_KINDS.items() if key in keys]
+        geo.add_argument(f"--{key}", type=int, help=f"{meaning} ({', '.join(kinds)})")
     geo.add_argument("--L", type=int, help="also compose this many subarrays")
     geo.add_argument("--mu", type=int, default=1, help="inter-subarray spacing (default 1)")
     geo.set_defaults(func=_cmd_geometry)

@@ -70,7 +70,12 @@ RMSE_SENTINEL = 2.0
 
 ALGORITHMS = ("gca", "gmusic", "avca")
 
-_GEOMETRY_KINDS = ("ula", "naq2", "snaq2", "mra")
+#: Geometry kind -> (name of its builder in this module, looked up per build so
+#: a wrapper set on the module attribute sees it; the builder's size keys).
+_GEOMETRY_KINDS = {"ula": ("build_ula", ("n",)), "naq2": ("build_nested2", ("n1", "n2")),
+                  "snaq2": ("build_super_nested2", ("n1", "n2")), "mra": ("build_mra", ("n",))}
+
+_SNR_FLOOR_DB = -1500.0  # noise power 1e150, so the squared eigenvalues stay finite
 
 
 def _integer(key: str, value) -> int:
@@ -81,8 +86,11 @@ def _integer(key: str, value) -> int:
 
 
 def _sequence(key: str, values) -> tuple:
+    """``values`` as a non-empty tuple, naming ``key`` if it is not one."""
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise ValueError(f"{key!r} must be a list, got {values!r}")
+    if len(values) == 0:
+        raise ValueError(f"{key!r} needs at least one entry")
     return tuple(values)
 
 
@@ -95,12 +103,19 @@ def _finite_reals(key: str, values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _noise_powers(key: str, snrs, signal_power: float) -> tuple[float, ...]:
-    """Noise power at each SNR in dB, naming ``key`` if one is not finite."""
+def _named(key: str, check, *args):
+    """``check(*args)``, with the message of any ValueError prefixed by ``key``."""
     try:
-        return tuple(noise_power_for_snr(snr_db, signal_power) for snr_db in snrs)
+        return check(*args)
     except ValueError as exc:
         raise ValueError(f"{key!r}: {exc}") from None
+
+
+def _noise_powers(key: str, snrs) -> tuple[float, ...]:
+    """Noise power at each SNR in dB for unit-power sources, naming ``key``."""
+    if min(snrs) < _SNR_FLOOR_DB:
+        raise ValueError(f"{key!r} must be at least {_SNR_FLOOR_DB:g} dB, got {min(snrs):g}")
+    return tuple(noise_power_for_snr(snr_db) for snr_db in snrs)
 
 
 @dataclass(frozen=True)
@@ -108,7 +123,7 @@ class GeometrySpec:
     """Named recipe for a subarray geometry.
 
     ``ula`` and ``mra`` take ``n`` sensors; ``naq2`` and ``snaq2`` take the
-    two nesting levels ``n1`` and ``n2``.
+    two nesting levels ``n1`` and ``n2`` (see ``_GEOMETRY_KINDS``).
     """
 
     kind: str
@@ -117,37 +132,29 @@ class GeometrySpec:
     n2: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _GEOMETRY_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _GEOMETRY_KINDS:
             raise ValueError(f"unknown geometry kind {self.kind!r}")
-        if self.kind in ("ula", "mra"):
-            if self.n is None or self.n1 is not None or self.n2 is not None:
-                raise ValueError(f"{self.kind} takes a single sensor count 'n'")
-        else:
-            if self.n1 is None or self.n2 is None or self.n is not None:
-                raise ValueError(f"{self.kind} takes nesting levels 'n1' and 'n2'")
-        for key in ("n", "n1", "n2"):
-            if getattr(self, key) is not None:
-                object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        keys = _GEOMETRY_KINDS[self.kind][1]
+        if any((getattr(self, key) is None) == (key in keys) for key in ("n", "n1", "n2")):
+            raise ValueError(f"{self.kind} takes {' and '.join(map(repr, keys))}")
+        for key in keys:
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
 
     @property
     def label(self) -> str:
-        if self.kind in ("ula", "mra"):
-            return f"{self.kind}-{self.n}"
-        return f"{self.kind}-{self.n1}-{self.n2}"
+        keys = _GEOMETRY_KINDS[self.kind][1]
+        return "-".join([self.kind, *(str(getattr(self, key)) for key in keys)])
 
     @classmethod
     def parse(cls, label: str) -> "GeometrySpec":
-        """Build a spec from a label such as ``"mra-7"`` or ``"naq2-4-3"``."""
-        parts = label.split("-")
-        kind = parts[0]
+        """Spec of a label such as ``"naq2-4-3"``; only labels that round-trip parse."""
+        kind, *sizes = label.split("-")
         try:
-            sizes = [int(p) for p in parts[1:]]
-        except ValueError:
-            raise ValueError(f"malformed geometry label {label!r}") from None
-        if kind in ("ula", "mra") and len(sizes) == 1:
-            return cls(kind, n=sizes[0])
-        if kind in ("naq2", "snaq2") and len(sizes) == 2:
-            return cls(kind, n1=sizes[0], n2=sizes[1])
+            spec = cls(kind, **dict(zip(_GEOMETRY_KINDS[kind][1], map(int, sizes))))
+            if spec.label == label:
+                return spec
+        except (KeyError, ValueError):
+            pass
         raise ValueError(f"malformed geometry label {label!r}")
 
     @classmethod
@@ -164,11 +171,9 @@ class GeometrySpec:
         raise ValueError(f"cannot interpret geometry {value!r}")
 
     def build(self) -> ArrayGeometry:
-        builder = {"ula": build_ula, "mra": build_mra, "naq2": build_nested2,
-                   "snaq2": build_super_nested2}[self.kind]
-        sizes = (self.n,) if self.kind in ("ula", "mra") else (self.n1, self.n2)
+        builder, keys = _GEOMETRY_KINDS[self.kind]
         try:
-            return builder(*sizes)
+            return globals()[builder](*(getattr(self, key) for key in keys))
         except ValueError as exc:
             raise ValueError(f"geometry {self.label!r}: {exc}") from exc
 
@@ -177,33 +182,23 @@ _REQUIRED = object()
 
 # ExperimentConfig field -> (the file keys that set it, canonical key first;
 # its default, or None to keep the dataclass default; the value types that
-# stand for a one-element list).  Fields are read in this order, which fixes
-# the error reported first when a config has several faults.
+# stand for a one-element list; the smallest value of an integer field, else
+# None).  Fields are read in this order, which fixes the error reported first
+# when a config has several faults.
 _CONFIG_FIELDS = {
-    "geometries": (("geometries", "geometry"), _REQUIRED, (str, dict)),
-    "snr_db_list": (("snr_sweep", "snr_db"), _REQUIRED, (int, float)),
-    "algorithms": (("algorithms", "algorithm"), None, (str,)),
-    "n_subarrays": (("L", "n_subarrays"), _REQUIRED, ()),
-    "spacing": (("mu", "spacing"), 1, ()),
-    "thetas": (("thetas",), _REQUIRED, ()),
-    "snapshots": (("snapshots", "T"), 100, ()),
-    "trials": (("trials",), None, ()),
-    "seed": (("seed",), None, ()),
-    "grid_size": (("grid_size",), None, ()),
-    "dedup_rule": (("dedup_rule",), None, ()),
-    "exact": (("exact",), None, ()),
-    "source_power": (("source_power",), None, ()),
-    "refine_peaks": (("refine_peaks",), None, ()),
-}
-
-# Integer config fields and their smallest accepted values.
-_INTEGER_MINIMUMS = {
-    "n_subarrays": 1,
-    "spacing": 1,
-    "snapshots": 1,
-    "trials": 1,
-    "seed": 0,
-    "grid_size": 3,
+    "geometries": (("geometries", "geometry"), _REQUIRED, (str, dict), None),
+    "snr_db_list": (("snr_sweep", "snr_db"), _REQUIRED, (int, float), None),
+    "algorithms": (("algorithms", "algorithm"), None, (str,), None),
+    "n_subarrays": (("L", "n_subarrays"), _REQUIRED, (), 1),
+    "spacing": (("mu", "spacing"), 1, (), 1),
+    "thetas": (("thetas",), _REQUIRED, (), None),
+    "snapshots": (("snapshots", "T"), 100, (), 1),
+    "trials": (("trials",), None, (), 1),
+    "seed": (("seed",), None, (), 0),
+    "grid_size": (("grid_size",), None, (), 3),
+    "dedup_rule": (("dedup_rule",), None, (), None),
+    "exact": (("exact",), None, (), None),
+    "refine_peaks": (("refine_peaks",), None, (), None),
 }
 
 
@@ -223,29 +218,24 @@ class ExperimentConfig:
     grid_size: int = 2001
     dedup_rule: str = "average"
     exact: bool = False
-    source_power: float = 1.0
     refine_peaks: bool = True
 
     def __post_init__(self):
         # The config keys the draw memo, so every field is checked and
         # normalised to a plain hashable value here.
         geometries = _sequence("geometries", self.geometries)
-        object.__setattr__(
-            self, "geometries", tuple(GeometrySpec.from_value(g) for g in geometries)
-        )
+        object.__setattr__(self, "geometries", tuple(
+            _named("geometries", GeometrySpec.from_value, g) for g in geometries
+        ))
         object.__setattr__(self, "thetas", _finite_reals("thetas", self.thetas))
         object.__setattr__(self, "snr_db_list", _finite_reals("snr_db_list", self.snr_db_list))
         object.__setattr__(self, "algorithms", _sequence("algorithms", self.algorithms))
-        if not self.geometries:
-            raise ValueError("need at least one geometry")
-        if not self.snr_db_list:
-            raise ValueError("need at least one SNR point")
-        if not self.algorithms:
-            raise ValueError("need at least one algorithm")
         for name in self.algorithms:
             if name not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {name!r}")
-        for key, minimum in _INTEGER_MINIMUMS.items():
+                raise ValueError(f"'algorithms': unknown algorithm {name!r}")
+        for key, (_, _, _, minimum) in _CONFIG_FIELDS.items():
+            if minimum is None:
+                continue
             value = _integer(key, getattr(self, key))
             if value < minimum:
                 raise ValueError(f"{key!r} must be at least {minimum}, got {value}")
@@ -253,20 +243,18 @@ class ExperimentConfig:
         for key in ("exact", "refine_peaks"):
             if not isinstance(getattr(self, key), bool):
                 raise ValueError(f"{key!r} must be true or false, got {getattr(self, key)!r}")
-        (power,) = _finite_reals("source_power", [self.source_power])
-        object.__setattr__(self, "source_power", power)
-        _noise_powers("snr_db_list", self.snr_db_list, power)
+        _noise_powers("snr_db_list", self.snr_db_list)
         if self.dedup_rule not in ("average", "first"):
-            raise ValueError(f"unknown dedup rule {self.dedup_rule!r}")
-        # Source ordering/range/count/power checks live in SourceSet.
-        SourceSet.equal_power(self.thetas, power=self.source_power)
+            raise ValueError(f"'dedup_rule': unknown dedup rule {self.dedup_rule!r}")
+        # Source ordering and range checks live in SourceSet.
+        _named("thetas", SourceSet.equal_power, self.thetas)
 
     @property
     def n_sources(self) -> int:
         return len(self.thetas)
 
     def source_set(self) -> SourceSet:
-        return SourceSet.equal_power(self.thetas, power=self.source_power)
+        return SourceSet.equal_power(self.thetas)
 
     def layout(self, geometry_index: int = 0) -> TypeIILayout:
         return compose_type2(
@@ -275,12 +263,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {key for keys, _, _ in _CONFIG_FIELDS.values() for key in keys}
+        known = {key for keys, *_ in _CONFIG_FIELDS.values() for key in keys}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}
-        for field, (keys, default, singular) in _CONFIG_FIELDS.items():
+        for field, (keys, default, singular, _) in _CONFIG_FIELDS.items():
             present = [key for key in keys if key in data]
             if len(present) > 1:
                 raise ValueError(f"config sets both {present[0]!r} and {present[1]!r}")
@@ -408,7 +396,7 @@ def _draw(config: ExperimentConfig, snr_bits: int, trial_index: int,
     (snr_db,) = struct.unpack("<d", struct.pack("<Q", snr_bits))
     layout = config.layout(geometry_index)
     sources = config.source_set()
-    (noise_power,) = _noise_powers("snr_db", [snr_db], config.source_power)
+    (noise_power,) = _noise_powers("snr_db", [snr_db])
     if config.exact:
         covariances = tuple(
             exact_covariance(layout.subarray_positions(l), sources, noise_power)
@@ -527,15 +515,16 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
     each trial's randomness is keyed by its coordinates alone.  Results
     come back in config order (geometry, then algorithm, then SNR), one row
     per position, so repeated labels, algorithms or SNRs each keep their
-    own row.  Every geometry is built before ``out_path`` is opened, so one
+    own row.  Every geometry is built before ``out_path`` is checked, so one
     that cannot be built fails before any trial and leaves an existing file
-    as it was; a bad path also fails before any trial.
+    as it was; a bad path also fails before any trial.  The file is written
+    only once every row is ready, so a failed sweep leaves it as it was too.
 
     Args:
         config: experiment description.
         out_path: optional CSV destination.
         workers: process count, at least 1, checked before ``out_path`` is
-            opened; 1 means run in this process.
+            checked; 1 means run in this process.
 
     Returns:
         One :class:`RmseCurve` per cell.
@@ -546,27 +535,25 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
     if _integer("workers", workers) < 1:
         raise ValueError(f"'workers' must be at least 1, got {workers}")
     for gi in geometry_indices:
-        config.layout(gi)
-    handle = open(out_path, "w", newline="") if out_path is not None else None
-    try:
-        runner = partial(_run_group, config)
-        if workers == 1:
-            rows = [runner(group) for group in groups]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(runner, groups))
-        by_group = dict(zip(groups, rows))
-        curves = [
-            by_group[gi, si][position]
-            for gi in geometry_indices
-            for position in range(len(config.algorithms))
-            for si in snr_indices
-        ]
-        if handle is not None:
+        _named("geometries", config.layout, gi)
+    if out_path is not None:
+        open(out_path, "a").close()
+    runner = partial(_run_group, config)
+    if workers == 1:
+        rows = [runner(group) for group in groups]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(runner, groups))
+    by_group = dict(zip(groups, rows))
+    curves = [
+        by_group[gi, si][position]
+        for gi in geometry_indices
+        for position in range(len(config.algorithms))
+        for si in snr_indices
+    ]
+    if out_path is not None:
+        with open(out_path, "w", newline="") as handle:
             _write_rows(handle, curves)
-    finally:
-        if handle is not None:
-            handle.close()
     return curves
 
 

@@ -2,12 +2,13 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
 from sparsedoa import geometry, harness
-from sparsedoa.cli import main
+from sparsedoa.cli import build_parser, main
 
 
 @pytest.fixture
@@ -72,6 +73,11 @@ class TestGeometryCommand:
         with pytest.raises(SystemExit):
             main(["geometry", "--kind", "ring", "--n", "7"])
 
+    def test_kind_choices_are_the_harness_table(self):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        kind = next(a for a in commands.choices["geometry"]._actions if a.dest == "kind")
+        assert kind.choices == list(harness._GEOMETRY_KINDS)
+
 
 class TestRunCommand:
     def test_prints_estimates(self, capsys, config_path):
@@ -114,7 +120,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "flags,key",
         [(["--snr", "nan"], "snr_db"), (["--trial", "-1"], "trial_index"),
-         (["--snr", "-4000"], "snr_db")],
+         (["--snr", "-4000"], "snr_db"), (["--snr", "-1500.5"], "snr_db")],
     )
     def test_bad_snr_or_trial_exits_one(self, capsys, config_path, flags, key):
         code = main(["run", "--config", str(config_path), "--algorithm", "gca", *flags])
@@ -173,6 +179,21 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:")
+        assert not out_csv.exists()
+
+    def test_out_to_a_device_exits_zero(self, capsys, config_path):
+        code = main(["sweep", "--config", str(config_path), "--out", os.devnull])
+        assert code == 0
+        assert "rmse=" in capsys.readouterr().out
+
+    def test_rejected_config_names_its_key(self, capsys, config_path, tmp_path):
+        data = json.loads(config_path.read_text())
+        data["thetas"] = [0.5, -0.5]
+        config_path.write_text(json.dumps(data))
+        out_csv = tmp_path / "curves.csv"
+        code = main(["sweep", "--config", str(config_path), "--out", str(out_csv)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: 'thetas': ")
         assert not out_csv.exists()
 
     def test_unbuildable_geometry_exits_one_before_any_trial(

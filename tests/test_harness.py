@@ -1,14 +1,19 @@
 """Experiment configs, trial execution, and RMSE sweeps."""
 
 import csv
+import dataclasses
 import json
+import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsedoa import harness
+from sparsedoa.coarray import covariance_to_coarray, signal_subspace, spatial_smooth
 from sparsedoa.errors import DegenerateCoarrayError, TooManySourcesError
+from sparsedoa.estimators import avca_music, g_music, gca_music
 from sparsedoa.harness import (
     RMSE_SENTINEL,
     ExperimentConfig,
@@ -18,6 +23,13 @@ from sparsedoa.harness import (
     run_trial,
     sweep,
     trial_seed_sequence,
+)
+from sparsedoa.sigmodel import (
+    Scenario,
+    SourceSet,
+    noise_power_for_snr,
+    sample_covariance,
+    simulate_snapshots,
 )
 
 
@@ -53,7 +65,11 @@ class TestGeometrySpec:
         spec = GeometrySpec.from_value({"kind": "naq2", "n1": 4, "n2": 3})
         assert spec.label == "naq2-4-3"
 
-    @pytest.mark.parametrize("label", ["ula", "ula-2-3", "naq2-4", "ring-5", "mra-x"])
+    @pytest.mark.parametrize(
+        "label",
+        ["ula", "ula-2-3", "naq2-4", "ring-5", "mra-x",
+         "mra-1_0", "ula-07", "ula- 7", "ula-+7", "naq2-4-\uff13"],
+    )
     def test_rejects_malformed_labels(self, label):
         with pytest.raises(ValueError):
             GeometrySpec.parse(label)
@@ -71,6 +87,11 @@ class TestGeometrySpec:
             GeometrySpec("ula", n1=3, n2=2)
         with pytest.raises(ValueError):
             GeometrySpec("naq2", n=7)
+
+    @pytest.mark.parametrize("kind", ["ring", ["ula"], None])
+    def test_rejects_unknown_kinds(self, kind):
+        with pytest.raises(ValueError, match="unknown geometry kind"):
+            GeometrySpec(kind, n=7)
 
     @pytest.mark.parametrize(
         "key,value",
@@ -172,8 +193,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "key,value",
         [("thetas", (-0.5, float("nan"))), ("thetas", ("0.5",)), ("thetas", 0.5),
-         ("snr_db_list", (float("nan"),)), ("snr_db_list", (float("inf"),)),
-         ("source_power", float("nan")), ("source_power", float("inf"))],
+         ("snr_db_list", (float("nan"),)), ("snr_db_list", (float("inf"),))],
     )
     def test_reals_must_be_finite_numbers(self, key, value):
         with pytest.raises(ValueError, match=f"'{key}'"):
@@ -193,17 +213,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"'{field}'"):
             ExperimentConfig.from_dict(data)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [{"snr_db_list": (-4000.0,)}, {"snr_db_list": (0.0, -100.0), "source_power": 1e300}],
-    )
+    @pytest.mark.parametrize("overrides", [{"snr_db_list": (-4000.0,)}])
     def test_snrs_need_a_finite_noise_power(self, overrides):
         with pytest.raises(ValueError, match="'snr_db_list'"):
             small_config(**overrides)
 
-    def test_source_power_is_named_before_the_snrs(self):
-        with pytest.raises(ValueError, match="'source_power'"):
-            small_config(snr_db_list=(-4000.0,), source_power=float("nan"))
+    def test_snrs_below_the_floor_are_named(self):
+        assert small_config(snr_db_list=(0.0, -1500.0)).snr_db_list == (0.0, -1500.0)
+        with pytest.raises(ValueError, match="^'snr_db_list' must be at least -1500 dB"):
+            small_config(snr_db_list=(0.0, -1500.5))
+
+    def test_source_power_is_not_a_config_key(self):
+        data = {"geometry": "naq2-4-3", "L": 3, "thetas": [-0.5, 0.5], "snr_db": 0}
+        with pytest.raises(ValueError, match=r"^unknown config keys: \['source_power'\]$"):
+            ExperimentConfig.from_dict({**data, "source_power": 1.0})
+        assert len(dataclasses.fields(ExperimentConfig)) == 13
 
     def test_rejects_unknown_dedup_rule(self):
         with pytest.raises(ValueError, match="dedup rule"):
@@ -213,6 +237,61 @@ class TestExperimentConfig:
         config = small_config(trials=np.int64(3), seed=np.uint8(5))
         assert type(config.trials) is int and type(config.seed) is int
         assert config == small_config(trials=3, seed=5)
+
+    @pytest.mark.parametrize(
+        "key,value,field",
+        [("geometries", [], "geometries"), ("thetas", [], "thetas"),
+         ("snr_sweep", [], "snr_db_list"), ("algorithms", [], "algorithms"),
+         ("algorithms", ["fancy"], "algorithms"), ("algorithms", "gca,avca", "algorithms"),
+         ("dedup_rule", "median", "dedup_rule"), ("dedup_rule", 3, "dedup_rule"),
+         ("thetas", [0.5, -0.5], "thetas"), ("thetas", [2.0], "thetas"),
+         ("thetas", [0.1, 0.1], "thetas"), ("geometries", "ring-5", "geometries"),
+         ("geometries", {"kind": "ula"}, "geometries")],
+    )
+    def test_every_rejection_names_its_key(self, key, value, field):
+        data = {"geometries": ["naq2-4-3"], "L": 3, "thetas": [-0.5, 0.5], "snr_sweep": [0]}
+        with pytest.raises(ValueError, match=f"^'{field}'"):
+            ExperimentConfig.from_dict({**data, key: value})
+
+
+def library_estimates(layout, sources, noise_power, seed):
+    """gca, avca and gmusic estimates of one draw, from the public pipeline."""
+    scenario = Scenario(layout, sources, noise_power, 100)
+    batch = simulate_snapshots(scenario, rng=np.random.default_rng(seed))
+    covariances = tuple(sample_covariance(batch.matrices))
+    d = sources.count
+    subspaces = [
+        signal_subspace(spatial_smooth(covariance_to_coarray(r, layout.base), subarray_index=l), d)
+        for l, r in enumerate(covariances)
+    ]
+    return {
+        "gca": gca_music(subspaces, d)[1].thetas,
+        "avca": avca_music(subspaces, d)[1].thetas,
+        "gmusic": g_music(covariances, layout, d)[1].thetas,
+    }
+
+
+class TestScaleInvariance:
+    """Scaling every source and noise power by c moves no estimate.
+
+    The subspaces and merged spectra depend on the covariances only up to a
+    common scale, so the SNR alone, not the absolute source power, is a
+    parameter of an experiment.
+    """
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-3, 7.5, 1e100])
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 20.0])
+    @pytest.mark.parametrize("label", ["naq2-4-3", "mra-7"])
+    def test_estimates_ignore_a_common_power_scale(self, label, snr_db, scale):
+        layout = small_config(geometries=(label,)).layout()
+        thetas = (-0.6, -0.2, 0.3, 0.7)
+        for seed in range(5):
+            unit = library_estimates(layout, SourceSet.equal_power(thetas),
+                                     noise_power_for_snr(snr_db), seed)
+            scaled = library_estimates(layout, SourceSet.equal_power(thetas, power=scale),
+                                       noise_power_for_snr(snr_db, scale), seed)
+            for algorithm, estimate in unit.items():
+                np.testing.assert_allclose(scaled[algorithm], estimate, rtol=0, atol=1e-9)
 
 
 class TestRmse:
@@ -245,6 +324,24 @@ class TestRunTrial:
     def test_snr_without_a_finite_noise_power_is_named(self):
         with pytest.raises(ValueError, match="'snr_db'"):
             run_trial(small_config(), -4000.0, "gca", 0)
+
+    def test_snr_below_the_floor_is_named(self):
+        with pytest.raises(ValueError, match="^'snr_db' must be at least -1500 dB"):
+            run_trial(small_config(), -1500.5, "gca", 0)
+
+    @pytest.mark.parametrize("snapshots", [100, 100_000])
+    @pytest.mark.parametrize("geometry", ["naq2-4-3", "mra-9"])
+    def test_the_snr_floor_runs_without_overflow(self, geometry, snapshots):
+        config = small_config(geometries=(geometry,), thetas=(-0.5, 0.0, 0.5),
+                              snapshots=snapshots, snr_db_list=(-1500.0,))
+        harness._draw.cache_clear()
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for algorithm in ("gca", "gmusic", "avca"):
+                result = run_trial(config, -1500.0, algorithm, 0, collect=True)
+                assert np.all(np.isfinite(result.estimate.thetas))
+                for s in result.artifacts.subspaces:
+                    assert np.all(np.isfinite(s.eigenvalues))
 
     def test_deterministic(self):
         config = small_config()
@@ -493,6 +590,41 @@ class TestSweep:
         (curve,) = sweep(config)
         assert curve.failures == 3
         assert curve.rmse == RMSE_SENTINEL
+
+    def test_failed_sweep_keeps_an_existing_file(self, monkeypatch, tmp_path):
+        run_group = harness._run_group
+        groups = []
+
+        def second_group_fails(config, group):
+            groups.append(group)
+            if len(groups) == 2:
+                raise KeyboardInterrupt
+            return run_group(config, group)
+
+        monkeypatch.setattr(harness, "_run_group", second_group_fails)
+        out = tmp_path / "curves.csv"
+        out.write_bytes(b"previous results\n")
+        with pytest.raises(KeyboardInterrupt):
+            sweep(small_config(snr_db_list=(0.0, 10.0), trials=1), out_path=out)
+        assert len(groups) == 2
+        assert out.read_bytes() == b"previous results\n"
+
+    def test_rewrites_an_existing_file(self, tmp_path):
+        out = tmp_path / "curves.csv"
+        out.write_text("x" * 10_000)
+        config = small_config(trials=1)
+        sweep(config, out_path=out)
+        fresh = tmp_path / "fresh.csv"
+        sweep(config, out_path=fresh)
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_writes_to_a_device(self):
+        config = small_config(trials=1)
+        assert sweep(config, out_path=os.devnull) == sweep(config)
+
+    def test_unbuildable_geometry_names_its_key(self):
+        with pytest.raises(ValueError, match=r"^'geometries': geometry 'mra-11': "):
+            sweep(small_config(geometries=("ula-7", "mra-11"), trials=1))
 
     def test_unwritable_path_fails_before_compute(self, tmp_path):
         config = small_config(trials=1)
