@@ -12,106 +12,19 @@ The package is organized as a pipeline:
 - :mod:`sparsedoa.harness` — Monte-Carlo sweeps and RMSE aggregation.
 """
 
-from .coarray import (
-    CoarraySignal,
-    SmoothedCovariance,
-    SubspaceDecomposition,
-    covariance_to_coarray,
-    signal_subspace,
-    spatial_smooth,
-)
+from . import coarray, estimators, geometry, harness, sigmodel
+from .coarray import *  # noqa: F403
 from .errors import DegenerateCoarrayError, TooManySourcesError
-from .estimators import (
-    DoaEstimate,
-    MergedProjector,
-    SpectrumGrid,
-    avca_music,
-    avca_spectrum,
-    find_peaks,
-    g_music,
-    gca_music,
-    gca_spectrum,
-)
-from .geometry import (
-    ArrayGeometry,
-    CoarrayProfile,
-    TypeIILayout,
-    build_mra,
-    build_nested2,
-    build_super_nested2,
-    build_ula,
-    compose_type2,
-    difference_coarray,
-    dof_bound,
-)
-from .harness import (
-    RMSE_SENTINEL,
-    ExperimentConfig,
-    GeometrySpec,
-    RmseCurve,
-    TrialResult,
-    rmse,
-    run_trial,
-    sweep,
-)
-from .sigmodel import (
-    Scenario,
-    SnapshotBatch,
-    SourceSet,
-    exact_covariance,
-    noise_power_for_snr,
-    sample_covariance,
-    simulate_snapshots,
-    steering_matrix,
-    steering_vector,
-)
+from .estimators import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .sigmodel import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrayGeometry",
-    "CoarrayProfile",
-    "TypeIILayout",
-    "build_ula",
-    "build_nested2",
-    "build_super_nested2",
-    "build_mra",
-    "difference_coarray",
-    "compose_type2",
-    "dof_bound",
-    "SourceSet",
-    "Scenario",
-    "SnapshotBatch",
-    "steering_vector",
-    "steering_matrix",
-    "exact_covariance",
-    "simulate_snapshots",
-    "sample_covariance",
-    "noise_power_for_snr",
-    "CoarraySignal",
-    "SmoothedCovariance",
-    "SubspaceDecomposition",
-    "covariance_to_coarray",
-    "spatial_smooth",
-    "signal_subspace",
-    "SpectrumGrid",
-    "DoaEstimate",
-    "MergedProjector",
-    "gca_music",
-    "g_music",
-    "avca_music",
-    "gca_spectrum",
-    "avca_spectrum",
-    "find_peaks",
-    "GeometrySpec",
-    "ExperimentConfig",
-    "TrialResult",
-    "RmseCurve",
-    "rmse",
-    "run_trial",
-    "sweep",
-    "RMSE_SENTINEL",
-    "TooManySourcesError",
-    "DegenerateCoarrayError",
-    "__version__",
-]
+__all__ = ["DegenerateCoarrayError", "TooManySourcesError", "__version__"]
+__all__ += geometry.__all__
+__all__ += sigmodel.__all__
+__all__ += coarray.__all__
+__all__ += estimators.__all__
+__all__ += harness.__all__

@@ -37,7 +37,6 @@ class CoarraySignal:
 
     lags: tuple[int, ...]
     values: np.ndarray
-    dedup_rule: str
 
     @property
     def sdof(self) -> int:
@@ -91,7 +90,7 @@ def covariance_to_coarray(covariance, geometry, rule: str = "average") -> Coarra
             np.bincount(plan.inverse, weights=vec.real)
             + 1j * np.bincount(plan.inverse, weights=vec.imag)
         ) / plan.counts
-    return CoarraySignal(plan.lags, values, rule)
+    return CoarraySignal(plan.lags, values)
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,10 @@ class SmoothedCovariance:
     """Smoothed covariance ``root root^H / window`` on virtual positions 0..window-1."""
 
     root: np.ndarray
-    window: int
-    subarray_index: int | None = None
+
+    @property
+    def window(self) -> int:
+        return self.root.shape[0]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -111,7 +112,7 @@ class SmoothedCovariance:
         return smoothed
 
 
-def spatial_smooth(signal: CoarraySignal, subarray_index: int | None = None) -> SmoothedCovariance:
+def spatial_smooth(signal: CoarraySignal) -> SmoothedCovariance:
     """Forward spatial smoothing over the contiguous coarray center.
 
     With contiguous half-width c and window length ``M = c + 1``, window
@@ -133,7 +134,7 @@ def spatial_smooth(signal: CoarraySignal, subarray_index: int | None = None) -> 
         )
     i = np.arange(c + 1)
     root = signal.central_values()[i[:, None] - i[None, :] + c]
-    return SmoothedCovariance(root, c + 1, subarray_index)
+    return SmoothedCovariance(root)
 
 
 @dataclass(frozen=True)

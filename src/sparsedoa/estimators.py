@@ -81,7 +81,6 @@ class DoaEstimate:
     """Estimated directions, ascending, with peak diagnostics."""
 
     thetas: np.ndarray
-    algorithm: str
     peak_values: np.ndarray
     degraded: bool = False
 
@@ -185,7 +184,7 @@ def _coarray_spectrum(rule, subspaces, thetas) -> np.ndarray:
     return rule(_deficits([s.signal_basis for s in subspaces], tuple(range(m)), table))
 
 
-def _music(rule, decompositions, positions, n_sources, grid_size, refine, algorithm):
+def _music(rule, decompositions, positions, n_sources, grid_size, refine):
     """Grid spectrum by ``rule``, checked against ``n_sources``, and its peaks."""
     d = decompositions[0].n_sources
     if n_sources is not None and n_sources != d:
@@ -193,12 +192,12 @@ def _music(rule, decompositions, positions, n_sources, grid_size, refine, algori
     table = _cached_table(positions[-1] - positions[0], grid_size)
     deficits = _deficits([s.signal_basis for s in decompositions], positions, table)
     spectrum = SpectrumGrid(grid_thetas(grid_size), rule(deficits))
-    return spectrum, find_peaks(spectrum, d, refine=refine, algorithm=algorithm)
+    return spectrum, find_peaks(spectrum, d, refine=refine)
 
 
-def _coarray_music(rule, subspaces, n_sources, grid_size, refine, algorithm):
+def _coarray_music(rule, subspaces, n_sources, grid_size, refine):
     subspaces, m = _check_subspaces(subspaces)
-    return _music(rule, subspaces, tuple(range(m)), n_sources, grid_size, refine, algorithm)
+    return _music(rule, subspaces, tuple(range(m)), n_sources, grid_size, refine)
 
 
 def gca_spectrum(subspaces, thetas) -> np.ndarray:
@@ -235,7 +234,7 @@ def gca_music(
     Returns:
         ``(SpectrumGrid, DoaEstimate)``.
     """
-    return _coarray_music(_merged, subspaces, n_sources, grid_size, refine, "gca")
+    return _coarray_music(_merged, subspaces, n_sources, grid_size, refine)
 
 
 def avca_music(
@@ -245,7 +244,7 @@ def avca_music(
     refine: bool = True,
 ) -> tuple[SpectrumGrid, DoaEstimate]:
     """Average-coarray MUSIC: mean of the per-subarray reciprocal spectra."""
-    return _coarray_music(_averaged, subspaces, n_sources, grid_size, refine, "avca")
+    return _coarray_music(_averaged, subspaces, n_sources, grid_size, refine)
 
 
 def g_music(
@@ -276,7 +275,7 @@ def g_music(
         raise ValueError("one covariance per subarray required")
     decompositions = [signal_subspace(np.asarray(r), n_sources) for r in covariances]
     positions = layout.base.positions
-    return _music(_merged, decompositions, positions, n_sources, grid_size, refine, "gmusic")
+    return _music(_merged, decompositions, positions, n_sources, grid_size, refine)
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -300,12 +299,7 @@ def _parabolic_offsets(left, center, right) -> np.ndarray:
     return np.clip(offsets, -0.5, 0.5)
 
 
-def find_peaks(
-    spectrum: SpectrumGrid,
-    n_sources: int,
-    refine: bool = True,
-    algorithm: str = "music",
-) -> DoaEstimate:
+def find_peaks(spectrum: SpectrumGrid, n_sources: int, refine: bool = True) -> DoaEstimate:
     """Pick the ``n_sources`` largest spectrum peaks as direction estimates.
 
     Strict local maxima are ranked by value (ties keep the leftmost) and the
@@ -328,4 +322,4 @@ def find_peaks(
     if refine and not degraded:
         offsets = _parabolic_offsets(values[chosen - 1], values[chosen], values[chosen + 1])
         thetas = thetas + spectrum.step * offsets
-    return DoaEstimate(thetas, algorithm, values[chosen], degraded=degraded)
+    return DoaEstimate(thetas, values[chosen], degraded=degraded)

@@ -246,7 +246,10 @@ class ExperimentConfig:
         _noise_powers("snr_db_list", self.snr_db_list)
         if self.dedup_rule not in ("average", "first"):
             raise ValueError(f"'dedup_rule': unknown dedup rule {self.dedup_rule!r}")
-        # Source ordering and range checks live in SourceSet.
+        # The grid covers [-1, 1), where theta = 1 is -1; SourceSet checks the order.
+        for theta in self.thetas:
+            if not -1.0 <= theta < 1.0:
+                raise ValueError(f"'thetas' must lie in [-1, 1), got {theta:g}")
         _named("thetas", SourceSet.equal_power, self.thetas)
 
     @property
@@ -372,7 +375,7 @@ class _Draw:
         signals = tuple(
             covariance_to_coarray(r, base, rule=self.dedup_rule) for r in self.covariances
         )
-        smoothed = tuple(spatial_smooth(sig, subarray_index=l) for l, sig in enumerate(signals))
+        smoothed = tuple(spatial_smooth(sig) for sig in signals)
         subspaces = tuple(signal_subspace(s, self.sources.count) for s in smoothed)
         _read_only(*(sig.values for sig in signals), *(s.root for s in smoothed))
         for s in subspaces:

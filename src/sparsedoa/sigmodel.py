@@ -35,7 +35,7 @@ def _steering(positions: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 def _check_direction_range(thetas) -> np.ndarray:
     th = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    if np.any(th < -1.0) or np.any(th > 1.0):
+    if not np.all((th >= -1.0) & (th <= 1.0)):
         raise ValueError("normalized directions must lie in [-1, 1]")
     return th
 
@@ -59,7 +59,7 @@ class SourceSet:
         if any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise ValueError("directions must be strictly increasing (no duplicates)")
         _check_direction_range(thetas)
-        if any(p <= 0 for p in powers):
+        if not all(0 < p < np.inf for p in powers):
             raise ValueError("source powers must be positive")
 
     @classmethod
@@ -113,7 +113,7 @@ def steering_matrix(positions, directions) -> np.ndarray:
 
 def exact_covariance(positions, sources: SourceSet, noise_power: float) -> np.ndarray:
     """Ensemble covariance ``A diag(p) A^H + noise_power * I``."""
-    if noise_power < 0:
+    if not 0 <= noise_power < np.inf:
         raise ValueError("noise power must be non-negative")
     a = steering_matrix(positions, sources)
     r = (a * sources.power_array) @ a.conj().T + noise_power * np.eye(a.shape[0])
@@ -131,7 +131,7 @@ class Scenario:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.noise_power < 0:
+        if not 0 <= self.noise_power < np.inf:
             raise ValueError("noise power must be non-negative")
         if self.snapshots < 1:
             raise ValueError("need at least one snapshot")

@@ -117,6 +117,35 @@ class TestRunCommand:
             assert data["signal_bases"].shape == (3, 15, 6)
             assert data["estimates"].shape == (6,)
 
+    def test_dump_intermediates_per_algorithm(self, tmp_path, config_path):
+        dumps = {}
+        for algorithm in ("gca", "avca", "gmusic"):
+            out_npz = tmp_path / f"{algorithm}.npz"
+            code = main(["run", "--config", str(config_path), "--algorithm", algorithm,
+                         "--dump-intermediates", str(out_npz)])
+            assert code == 0
+            with np.load(out_npz) as data:
+                dumps[algorithm] = {key: data[key] for key in data.files}
+        physical = {"covariances", "spectrum_thetas", "spectrum_values", "estimates"}
+        coarray = {"coarray_lags", "coarray_values", "smoothed", "signal_bases", "eigenvalues"}
+        assert set(dumps["gmusic"]) == physical
+        assert set(dumps["gca"]) == set(dumps["avca"]) == physical | coarray
+        for key in physical | coarray:
+            assert dumps["avca"][key].shape == dumps["gca"][key].shape
+        for key in coarray | {"covariances"}:
+            assert np.array_equal(dumps["avca"][key], dumps["gca"][key])
+        assert np.array_equal(dumps["gmusic"]["covariances"], dumps["gca"]["covariances"])
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_direction_at_one_exits_one(self, capsys, config_path, tmp_path, command):
+        data = json.loads(config_path.read_text())
+        data["thetas"] = [-0.5, 1.0]
+        config_path.write_text(json.dumps(data))
+        flags = ["--algorithm", "gca"] if command == "run" else ["--out", str(tmp_path / "c.csv")]
+        code = main([command, "--config", str(config_path), *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: 'thetas' must lie in [-1, 1)")
+
     @pytest.mark.parametrize(
         "flags,key",
         [(["--snr", "nan"], "snr_db"), (["--trial", "-1"], "trial_index"),

@@ -176,10 +176,6 @@ class TestSpatialSmooth:
         with pytest.raises(DegenerateCoarrayError):
             spatial_smooth(signal)
 
-    def test_subarray_index_is_carried(self):
-        signal = covariance_to_coarray(np.eye(2), build_ula(2))
-        assert spatial_smooth(signal, subarray_index=2).subarray_index == 2
-
     @pytest.mark.parametrize("rule", ["average", "first"])
     @pytest.mark.parametrize("positions", SMOOTHING_POSITIONS)
     def test_matrix_equals_window_average(self, positions, rule):

@@ -38,7 +38,7 @@ def exact_subspaces(thetas, n_subarrays=3, noise_power=1.0, power=1.0):
     subspaces = []
     for l in range(n_subarrays):
         r = exact_covariance(layout.subarray_positions(l), sources, noise_power)
-        smoothed = spatial_smooth(covariance_to_coarray(r, base), subarray_index=l)
+        smoothed = spatial_smooth(covariance_to_coarray(r, base))
         subspaces.append(signal_subspace(smoothed, sources.count))
     return layout, subspaces
 

@@ -253,6 +253,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"^'{field}'"):
             ExperimentConfig.from_dict({**data, key: value})
 
+    @pytest.mark.parametrize("thetas", [(1.0,), (-1.0, 0.0, 1.0), (-1.0, 1.0), (-1.5, 0.0)])
+    def test_thetas_lie_in_the_half_open_domain(self, thetas):
+        with pytest.raises(ValueError, match=r"^'thetas' must lie in \[-1, 1\)"):
+            small_config(thetas=thetas)
+
+    def test_thetas_domain_keeps_its_endpoint_and_its_inside(self):
+        assert small_config(thetas=(-1.0, 0.0, 0.999)).thetas == (-1.0, 0.0, 0.999)
+
 
 def library_estimates(layout, sources, noise_power, seed):
     """gca, avca and gmusic estimates of one draw, from the public pipeline."""
@@ -261,8 +269,8 @@ def library_estimates(layout, sources, noise_power, seed):
     covariances = tuple(sample_covariance(batch.matrices))
     d = sources.count
     subspaces = [
-        signal_subspace(spatial_smooth(covariance_to_coarray(r, layout.base), subarray_index=l), d)
-        for l, r in enumerate(covariances)
+        signal_subspace(spatial_smooth(covariance_to_coarray(r, layout.base)), d)
+        for r in covariances
     ]
     return {
         "gca": gca_music(subspaces, d)[1].thetas,

@@ -111,6 +111,39 @@ class TestExactCovariance:
             exact_covariance(build_ula(2), SourceSet.equal_power((0.0,)), -0.1)
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+class TestRejectsNonFinite:
+    """Every range check fails a non-finite value, which compares false to any bound."""
+
+    def test_source_direction(self, value):
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            SourceSet((value,), (1.0,))
+        with pytest.raises(ValueError):
+            SourceSet((0.1, value), (1.0, 1.0))
+
+    def test_source_power(self, value):
+        with pytest.raises(ValueError, match="source powers must be positive"):
+            SourceSet((0.1,), (value,))
+
+    def test_steering_direction(self, value):
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            steering_vector((0, 1, 2), value)
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            steering_matrix((0, 1, 2), (0.1, value))
+
+    def test_scenario_noise_power(self, value):
+        scenario = make_scenario()
+        with pytest.raises(ValueError, match="noise power must be non-negative"):
+            Scenario(scenario.layout, scenario.sources, value, 50)
+
+    def test_exact_covariance_noise_power(self, value):
+        with pytest.raises(ValueError, match="noise power must be non-negative"):
+            exact_covariance(build_ula(3), SourceSet.equal_power((0.1,)), value)
+
+
 class TestNoisePower:
     def test_reference_points(self):
         assert noise_power_for_snr(0.0) == pytest.approx(1.0)
