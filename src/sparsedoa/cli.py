@@ -15,11 +15,11 @@ import sys
 import numpy as np
 
 from .geometry import compose_type2, difference_coarray, dof_bound
-from .harness import _GEOMETRY_KINDS, ALGORITHMS, ExperimentConfig, GeometrySpec, run_trial, sweep
+from .harness import ALGORITHMS, ExperimentConfig, GeometrySpec, run_trial, sweep
 
 
 def _cmd_geometry(args) -> int:
-    spec = GeometrySpec(kind=args.kind, n=args.n, n1=args.n1, n2=args.n2)
+    spec = GeometrySpec(args.label)
     geom = spec.build()
     profile = difference_coarray(geom)
     print("geometry:", spec.label)
@@ -70,14 +70,8 @@ def _dump_intermediates(artifacts, estimate, path) -> None:
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     snr_db = args.snr if args.snr is not None else config.snr_db_list[0]
-    collect = args.dump_spectrum is not None or args.dump_intermediates is not None
     result = run_trial(
-        config,
-        snr_db,
-        args.algorithm,
-        trial_index=args.trial,
-        geometry_index=args.geometry_index,
-        collect=collect,
+        config, snr_db, args.algorithm, trial_index=args.trial, geometry_index=args.geometry_index
     )
     estimate = result.estimate
     print("geometry:", config.geometries[args.geometry_index].label)
@@ -121,11 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     geo = commands.add_parser("geometry", help="inspect an array and its coarray")
-    geo.add_argument("--kind", required=True, choices=list(_GEOMETRY_KINDS))
-    for key, meaning in [("n", "sensor count"), ("n1", "inner level size"),
-                         ("n2", "outer level size")]:
-        kinds = [kind for kind, (_, keys) in _GEOMETRY_KINDS.items() if key in keys]
-        geo.add_argument(f"--{key}", type=int, help=f"{meaning} ({', '.join(kinds)})")
+    geo.add_argument("label", metavar="LABEL", help="geometry label, such as mra-7 or naq2-4-3")
     geo.add_argument("--L", type=int, help="also compose this many subarrays")
     geo.add_argument("--mu", type=int, default=1, help="inter-subarray spacing (default 1)")
     geo.set_defaults(func=_cmd_geometry)

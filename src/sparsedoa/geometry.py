@@ -7,6 +7,7 @@ elsewhere in this package), canonicalized so the first sensor sits at 0.
 
 from __future__ import annotations
 
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -30,6 +31,13 @@ __all__ = [
 #: Largest sensor count for either hole-free search (minimum-redundancy and
 #: super-nested): both grow combinatorially with it, to seconds past 10.
 MRA_SENSOR_LIMIT = 10
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int; bools and floats are rejected, naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_positions(geometry, dtype=np.int64) -> np.ndarray:
@@ -327,6 +335,8 @@ class TypeIILayout:
     spacing: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_subarrays", _integer("n_subarrays", self.n_subarrays))
+        object.__setattr__(self, "spacing", _integer("spacing", self.spacing))
         if self.n_subarrays < 1:
             raise ValueError(f"need at least one subarray, got {self.n_subarrays}")
         if self.spacing < 1:
@@ -370,6 +380,9 @@ def dof_bound(n_subarrays: int, sdof: int, spacing: int, aperture: int) -> int:
         spacing: empty slots between consecutive subarrays (mu >= 1).
         aperture: base subarray aperture.
     """
+    for key, value in [("n_subarrays", n_subarrays), ("sdof", sdof), ("spacing", spacing),
+                       ("aperture", aperture)]:
+        _integer(key, value)
     if n_subarrays < 1 or spacing < 1 or aperture < 0:
         raise ValueError("layout parameters must be positive")
     if sdof < 1 or sdof % 2 == 0:

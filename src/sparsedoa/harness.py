@@ -37,6 +37,7 @@ from .estimators import DoaEstimate, SpectrumGrid, avca_music, g_music, gca_musi
 from .geometry import (
     ArrayGeometry,
     TypeIILayout,
+    _integer,
     build_mra,
     build_nested2,
     build_super_nested2,
@@ -71,18 +72,12 @@ RMSE_SENTINEL = 2.0
 ALGORITHMS = ("gca", "gmusic", "avca")
 
 #: Geometry kind -> (name of its builder in this module, looked up per build so
-#: a wrapper set on the module attribute sees it; the builder's size keys).
+#: a wrapper set on the module attribute sees it; the builder's size keys, which
+#: the label gives in this order after the kind).
 _GEOMETRY_KINDS = {"ula": ("build_ula", ("n",)), "naq2": ("build_nested2", ("n1", "n2")),
                   "snaq2": ("build_super_nested2", ("n1", "n2")), "mra": ("build_mra", ("n",))}
 
 _SNR_FLOOR_DB = -1500.0  # noise power 1e150, so the squared eigenvalues stay finite
-
-
-def _integer(key: str, value) -> int:
-    """``value`` as an int; bools and floats are rejected, naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _sequence(key: str, values) -> tuple:
@@ -120,60 +115,34 @@ def _noise_powers(key: str, snrs) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class GeometrySpec:
-    """Named recipe for a subarray geometry.
+    """A subarray geometry named by its label, such as ``"naq2-4-3"``.
 
-    ``ula`` and ``mra`` take ``n`` sensors; ``naq2`` and ``snaq2`` take the
-    two nesting levels ``n1`` and ``n2`` (see ``_GEOMETRY_KINDS``).
+    The label is the kind, then its sizes in the order of ``_GEOMETRY_KINDS``:
+    ``ula-N``, ``naq2-N1-N2``, ``snaq2-N1-N2`` or ``mra-N``.  Only labels that
+    read back as written are accepted (``"ula-07"`` is not ``ula-7``).  The
+    constructor parses ``kind`` and ``sizes`` once, so a build reads no text.
     """
 
-    kind: str
-    n: int | None = None
-    n1: int | None = None
-    n2: int | None = None
+    label: str
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _GEOMETRY_KINDS:
-            raise ValueError(f"unknown geometry kind {self.kind!r}")
-        keys = _GEOMETRY_KINDS[self.kind][1]
-        if any((getattr(self, key) is None) == (key in keys) for key in ("n", "n1", "n2")):
-            raise ValueError(f"{self.kind} takes {' and '.join(map(repr, keys))}")
-        for key in keys:
-            object.__setattr__(self, key, _integer(key, getattr(self, key)))
-
-    @property
-    def label(self) -> str:
-        keys = _GEOMETRY_KINDS[self.kind][1]
-        return "-".join([self.kind, *(str(getattr(self, key)) for key in keys)])
-
-    @classmethod
-    def parse(cls, label: str) -> "GeometrySpec":
-        """Spec of a label such as ``"naq2-4-3"``; only labels that round-trip parse."""
-        kind, *sizes = label.split("-")
+        kind, *sizes = self.label.split("-") if isinstance(self.label, str) else [None]
         try:
-            spec = cls(kind, **dict(zip(_GEOMETRY_KINDS[kind][1], map(int, sizes))))
-            if spec.label == label:
-                return spec
+            sizes = tuple(map(int, sizes))
+            if (len(sizes) == len(_GEOMETRY_KINDS[kind][1])
+                    and "-".join([kind, *map(str, sizes)]) == self.label):
+                object.__setattr__(self, "kind", kind)
+                object.__setattr__(self, "sizes", sizes)
+                return
         except (KeyError, ValueError):
             pass
-        raise ValueError(f"malformed geometry label {label!r}")
-
-    @classmethod
-    def from_value(cls, value) -> "GeometrySpec":
-        if isinstance(value, GeometrySpec):
-            return value
-        if isinstance(value, str):
-            return cls.parse(value)
-        if isinstance(value, dict):
-            try:
-                return cls(**value)
-            except TypeError:
-                pass
-        raise ValueError(f"cannot interpret geometry {value!r}")
+        forms = ", ".join("-".join([k, *map(str.upper, keys)])
+                          for k, (_, keys) in _GEOMETRY_KINDS.items())
+        raise ValueError(f"malformed geometry label {self.label!r}; the forms are {forms}")
 
     def build(self) -> ArrayGeometry:
-        builder, keys = _GEOMETRY_KINDS[self.kind]
         try:
-            return globals()[builder](*(getattr(self, key) for key in keys))
+            return globals()[_GEOMETRY_KINDS[self.kind][0]](*self.sizes)
         except ValueError as exc:
             raise ValueError(f"geometry {self.label!r}: {exc}") from exc
 
@@ -186,7 +155,7 @@ _REQUIRED = object()
 # None).  Fields are read in this order, which fixes the error reported first
 # when a config has several faults.
 _CONFIG_FIELDS = {
-    "geometries": (("geometries", "geometry"), _REQUIRED, (str, dict), None),
+    "geometries": (("geometries", "geometry"), _REQUIRED, (str,), None),
     "snr_db_list": (("snr_sweep", "snr_db"), _REQUIRED, (int, float), None),
     "algorithms": (("algorithms", "algorithm"), None, (str,), None),
     "n_subarrays": (("L", "n_subarrays"), _REQUIRED, (), 1),
@@ -196,9 +165,7 @@ _CONFIG_FIELDS = {
     "trials": (("trials",), None, (), 1),
     "seed": (("seed",), None, (), 0),
     "grid_size": (("grid_size",), None, (), 3),
-    "dedup_rule": (("dedup_rule",), None, (), None),
     "exact": (("exact",), None, (), None),
-    "refine_peaks": (("refine_peaks",), None, (), None),
 }
 
 
@@ -216,16 +183,15 @@ class ExperimentConfig:
     trials: int = 200
     seed: int = 0
     grid_size: int = 2001
-    dedup_rule: str = "average"
     exact: bool = False
-    refine_peaks: bool = True
 
     def __post_init__(self):
         # The config keys the draw memo, so every field is checked and
         # normalised to a plain hashable value here.
         geometries = _sequence("geometries", self.geometries)
         object.__setattr__(self, "geometries", tuple(
-            _named("geometries", GeometrySpec.from_value, g) for g in geometries
+            g if isinstance(g, GeometrySpec) else _named("geometries", GeometrySpec, g)
+            for g in geometries
         ))
         object.__setattr__(self, "thetas", _finite_reals("thetas", self.thetas))
         object.__setattr__(self, "snr_db_list", _finite_reals("snr_db_list", self.snr_db_list))
@@ -240,12 +206,9 @@ class ExperimentConfig:
             if value < minimum:
                 raise ValueError(f"{key!r} must be at least {minimum}, got {value}")
             object.__setattr__(self, key, value)
-        for key in ("exact", "refine_peaks"):
-            if not isinstance(getattr(self, key), bool):
-                raise ValueError(f"{key!r} must be true or false, got {getattr(self, key)!r}")
+        if not isinstance(self.exact, bool):
+            raise ValueError(f"'exact' must be true or false, got {self.exact!r}")
         _noise_powers("snr_db_list", self.snr_db_list)
-        if self.dedup_rule not in ("average", "first"):
-            raise ValueError(f"'dedup_rule': unknown dedup rule {self.dedup_rule!r}")
         # The grid covers [-1, 1), where theta = 1 is -1; SourceSet checks the order.
         for theta in self.thetas:
             if not -1.0 <= theta < 1.0:
@@ -308,7 +271,7 @@ class TrialArtifacts:
 class TrialResult:
     estimate: DoaEstimate
     squared_error: float | None
-    artifacts: TrialArtifacts | None = None
+    artifacts: TrialArtifacts
 
     @property
     def failed(self) -> bool:
@@ -366,15 +329,12 @@ class _Draw:
     layout: TypeIILayout
     sources: SourceSet
     covariances: tuple[np.ndarray, ...]
-    dedup_rule: str
 
     @cached_property
     def coarray_stage(self) -> tuple[tuple, tuple, tuple]:
         """Per subarray: coarray signals, smoothed covariances, subspaces."""
         base = self.layout.base
-        signals = tuple(
-            covariance_to_coarray(r, base, rule=self.dedup_rule) for r in self.covariances
-        )
+        signals = tuple(covariance_to_coarray(r, base) for r in self.covariances)
         smoothed = tuple(spatial_smooth(sig) for sig in signals)
         subspaces = tuple(signal_subspace(s, self.sources.count) for s in smoothed)
         _read_only(*(sig.values for sig in signals), *(s.root for s in smoothed))
@@ -411,7 +371,7 @@ def _draw(config: ExperimentConfig, snr_bits: int, trial_index: int,
         batch = simulate_snapshots(scenario, rng=np.random.default_rng(keys))
         covariances = tuple(sample_covariance(batch.matrices))
     _read_only(*covariances)
-    return _Draw(layout, sources, covariances, config.dedup_rule)
+    return _Draw(layout, sources, covariances)
 
 
 def run_trial(
@@ -420,7 +380,6 @@ def run_trial(
     algorithm: str,
     trial_index: int,
     geometry_index: int = 0,
-    collect: bool = False,
 ) -> TrialResult:
     """Run one trial end to end and score it against the true directions.
 
@@ -448,27 +407,18 @@ def run_trial(
     smoothed = ()
     subspaces = ()
     if algorithm == "gmusic":
-        spectrum, estimate = g_music(
-            draw.covariances, draw.layout, d,
-            grid_size=config.grid_size, refine=config.refine_peaks,
-        )
+        spectrum, estimate = g_music(draw.covariances, draw.layout, d, grid_size=config.grid_size)
     else:
         coarray_signals, smoothed, subspaces = draw.coarray_stage
         runner = gca_music if algorithm == "gca" else avca_music
-        spectrum, estimate = runner(
-            subspaces, d, grid_size=config.grid_size, refine=config.refine_peaks
-        )
+        spectrum, estimate = runner(subspaces, d, grid_size=config.grid_size)
 
     if estimate.degraded:
         squared_error = None
     else:
         truth = np.sort(draw.sources.theta_array)
         squared_error = float(np.sum((np.sort(estimate.thetas) - truth) ** 2))
-    artifacts = None
-    if collect:
-        artifacts = TrialArtifacts(
-            draw.covariances, coarray_signals, smoothed, subspaces, spectrum
-        )
+    artifacts = TrialArtifacts(draw.covariances, coarray_signals, smoothed, subspaces, spectrum)
     return TrialResult(estimate, squared_error, artifacts)
 
 

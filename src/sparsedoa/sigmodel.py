@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TypeIILayout, _as_positions
+from .geometry import TypeIILayout, _as_positions, _integer
 
 __all__ = [
     "SourceSet",
@@ -133,6 +133,7 @@ class Scenario:
     def __post_init__(self):
         if not 0 <= self.noise_power < np.inf:
             raise ValueError("noise power must be non-negative")
+        object.__setattr__(self, "snapshots", _integer("snapshots", self.snapshots))
         if self.snapshots < 1:
             raise ValueError("need at least one snapshot")
 

@@ -283,7 +283,7 @@ def test_smoothing_window_count(report):
                 thetas=SIX_SOURCES, snapshots=50, snr_db_list=(0.0,),
                 algorithms=("gca",), trials=1, seed=0,
             ),
-            0.0, "gca", 0, collect=True,
+            0.0, "gca", 0,
         )
         for smoothed in result.artifacts.smoothed:
             assert smoothed.window == 15

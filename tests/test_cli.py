@@ -34,7 +34,7 @@ def config_path(tmp_path):
 
 class TestGeometryCommand:
     def test_reports_layout_and_coarray(self, capsys):
-        code = main(["geometry", "--kind", "mra", "--n", "7"])
+        code = main(["geometry", "mra-7"])
         out = capsys.readouterr().out
         assert code == 0
         assert "positions: 0 1 2 3 8 13 17" in out
@@ -42,8 +42,7 @@ class TestGeometryCommand:
         assert "hole-free: yes" in out
 
     def test_composition_reports_dof_bound(self, capsys):
-        code = main(["geometry", "--kind", "naq2", "--n1", "4", "--n2", "3",
-                     "--L", "3", "--mu", "1"])
+        code = main(["geometry", "naq2-4-3", "--L", "3", "--mu", "1"])
         out = capsys.readouterr().out
         assert code == 0
         assert "subarray offsets: 0 15 30" in out
@@ -56,27 +55,29 @@ class TestGeometryCommand:
         assert len(weights) == 45  # non-negative half of 89 lags
 
     def test_missing_size_flags_fail_cleanly(self, capsys):
-        code = main(["geometry", "--kind", "naq2", "--n", "7"])
+        code = main(["geometry", "naq2-7"])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: malformed geometry label 'naq2-7'")
+
+    @pytest.mark.parametrize("label", ["ring-5", "ula-07", "mra-7.0", "ula"])
+    def test_malformed_labels_exit_one(self, capsys, label):
+        code = main(["geometry", label])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: malformed geometry label '{label}'")
 
     def test_parent_beyond_the_sensor_limit_exits_one(self, capsys, monkeypatch):
         def no_search(*args):
             raise AssertionError("searched a parent beyond the limit")
 
         monkeypatch.setattr(geometry, "_hole_free_arrays", no_search)
-        code = main(["geometry", "--kind", "snaq2", "--n1", "30", "--n2", "2"])
+        code = main(["geometry", "snaq2-30-2"])
         assert code == 1
         assert "geometry 'snaq2-30-2': " in capsys.readouterr().err
 
-    def test_unknown_kind_is_an_argparse_error(self):
-        with pytest.raises(SystemExit):
-            main(["geometry", "--kind", "ring", "--n", "7"])
-
-    def test_kind_choices_are_the_harness_table(self):
+    def test_options_are_the_label_l_and_mu(self):
         commands = next(a for a in build_parser()._actions if a.dest == "command")
-        kind = next(a for a in commands.choices["geometry"]._actions if a.dest == "kind")
-        assert kind.choices == list(harness._GEOMETRY_KINDS)
+        options = [a.dest for a in commands.choices["geometry"]._actions if a.dest != "help"]
+        assert options == ["label", "L", "mu"]
 
 
 class TestRunCommand:

@@ -295,6 +295,20 @@ class TestTypeIILayout:
         with pytest.raises(ValueError):
             compose_type2(build_ula(4), 2, spacing=0)
 
+    @pytest.mark.parametrize(
+        "key,n_subarrays,spacing",
+        [("n_subarrays", 2.5, 1), ("n_subarrays", True, 1), ("n_subarrays", "2", 1),
+         ("spacing", 2, 1.5), ("spacing", 2, False), ("spacing", 2, 2.0)],
+    )
+    def test_counts_must_be_integers(self, key, n_subarrays, spacing):
+        with pytest.raises(ValueError, match=f"^'{key}' must be an integer"):
+            compose_type2(build_ula(3), n_subarrays, spacing)
+
+    def test_numpy_counts_become_ints(self):
+        layout = compose_type2(build_ula(3), np.int64(2), np.uint8(1))
+        assert type(layout.n_subarrays) is int and type(layout.spacing) is int
+        assert layout.offsets == (0, 3)
+
 
 class TestDofBound:
     @pytest.mark.parametrize(
@@ -335,6 +349,16 @@ class TestDofBound:
     def test_rejects_even_sdof(self):
         with pytest.raises(ValueError):
             dof_bound(3, 28, 1, 14)
+
+    @pytest.mark.parametrize(
+        "key,args",
+        [("n_subarrays", (2.5, 5, 1, 2)), ("n_subarrays", (True, 5, 1, 2)),
+         ("sdof", (3, 29.0, 1, 14)), ("spacing", (3, 29, 1.5, 14)),
+         ("spacing", (3, 29, True, 14)), ("aperture", (3, 29, 1, "14"))],
+    )
+    def test_counts_must_be_integers(self, key, args):
+        with pytest.raises(ValueError, match=f"^'{key}' must be an integer"):
+            dof_bound(*args)
 
 
 class TestCoarrayProfileType:

@@ -56,56 +56,52 @@ class TestGeometrySpec:
          ("snaq2-3-2", "snaq2", 5)],
     )
     def test_parse_and_build(self, label, kind, n_sensors):
-        spec = GeometrySpec.parse(label)
+        spec = GeometrySpec(label)
         assert spec.kind == kind
         assert spec.label == label
         assert spec.build().n_sensors == n_sensors
 
-    def test_from_value_accepts_dicts(self):
-        spec = GeometrySpec.from_value({"kind": "naq2", "n1": 4, "n2": 3})
-        assert spec.label == "naq2-4-3"
-
     @pytest.mark.parametrize(
         "label",
         ["ula", "ula-2-3", "naq2-4", "ring-5", "mra-x",
-         "mra-1_0", "ula-07", "ula- 7", "ula-+7", "naq2-4-\uff13"],
+         "mra-1_0", "ula-07", "ula- 7", "ula-+7", "naq2-4-\uff13",
+         "ula-7.0", "naq2-4.5-3", "ula--7", "ULA-7", "", 7, None, ["ula-7"],
+         {"kind": "naq2", "n1": 4, "n2": 3}, {"kind": "ula", "n": 7}],
     )
     def test_rejects_malformed_labels(self, label):
-        with pytest.raises(ValueError):
-            GeometrySpec.parse(label)
+        forms = "ula-N, naq2-N1-N2, snaq2-N1-N2, mra-N"
+        with pytest.raises(ValueError) as info:
+            GeometrySpec(label)
+        assert str(info.value) == f"malformed geometry label {label!r}; the forms are {forms}"
 
     @pytest.mark.parametrize(
         "label", ["ula-0", "naq2-0-3", "snaq2-2-3", "mra-11", "snaq2-30-2"]
     )
     def test_build_errors_name_the_geometry(self, label):
-        spec = GeometrySpec.parse(label)
+        spec = GeometrySpec(label)
         with pytest.raises(ValueError, match=f"^geometry '{label}': "):
             spec.build()
 
     def test_rejects_mismatched_parameters(self):
-        with pytest.raises(ValueError):
-            GeometrySpec("ula", n1=3, n2=2)
-        with pytest.raises(ValueError):
-            GeometrySpec("naq2", n=7)
+        with pytest.raises(ValueError, match="'ula-3-2'"):
+            GeometrySpec("ula-3-2")
+        with pytest.raises(ValueError, match="'naq2-7'"):
+            GeometrySpec("naq2-7")
 
     @pytest.mark.parametrize("kind", ["ring", ["ula"], None])
     def test_rejects_unknown_kinds(self, kind):
-        with pytest.raises(ValueError, match="unknown geometry kind"):
-            GeometrySpec(kind, n=7)
-
-    @pytest.mark.parametrize(
-        "key,value",
-        [("n", {"kind": "ula", "n": 7.0}), ("n", {"kind": "mra", "n": True}),
-         ("n1", {"kind": "naq2", "n1": 4.5, "n2": 3}),
-         ("n2", {"kind": "snaq2", "n1": 4, "n2": "3"})],
-    )
-    def test_sizes_must_be_integers(self, key, value):
-        with pytest.raises(ValueError, match=f"'{key}'"):
-            GeometrySpec.from_value(value)
+        with pytest.raises(ValueError, match="^malformed geometry label"):
+            GeometrySpec(kind)
 
     def test_unknown_dict_keys_are_value_errors(self):
-        with pytest.raises(ValueError, match="cannot interpret geometry"):
-            GeometrySpec.from_value({"kind": "ula", "sensors": 7})
+        with pytest.raises(ValueError, match="malformed geometry label"):
+            GeometrySpec({"kind": "ula", "sensors": 7})
+
+    def test_specs_are_label_values(self):
+        spec = GeometrySpec("snaq2-4-3")
+        assert spec == GeometrySpec("snaq2-4-3") and hash(spec) == hash(GeometrySpec("snaq2-4-3"))
+        assert (spec.kind, spec.sizes) == ("snaq2", (4, 3))
+        assert small_config(geometries=(spec, "ula-7")).geometries == (spec, GeometrySpec("ula-7"))
 
 
 class TestExperimentConfig:
@@ -133,7 +129,7 @@ class TestExperimentConfig:
     def test_from_dict_with_sweep_keys(self):
         config = ExperimentConfig.from_dict(
             {
-                "geometries": ["ula-7", {"kind": "mra", "n": 7}],
+                "geometries": ["ula-7", "mra-7"],
                 "n_subarrays": 2,
                 "thetas": [0.0],
                 "snr_sweep": [-5, 0, 5],
@@ -183,9 +179,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"'{key}'"):
             small_config(**{key: value})
 
-    @pytest.mark.parametrize(
-        "key,value", [("exact", "no"), ("exact", 1), ("refine_peaks", "false")]
-    )
+    @pytest.mark.parametrize("key,value", [("exact", "no"), ("exact", 1)])
     def test_flags_must_be_booleans(self, key, value):
         with pytest.raises(ValueError, match=f"'{key}'"):
             small_config(**{key: value})
@@ -223,15 +217,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="^'snr_db_list' must be at least -1500 dB"):
             small_config(snr_db_list=(0.0, -1500.5))
 
-    def test_source_power_is_not_a_config_key(self):
+    @pytest.mark.parametrize(
+        "key,value", [("source_power", 1.0), ("dedup_rule", "average"), ("refine_peaks", True)]
+    )
+    def test_source_power_is_not_a_config_key(self, key, value):
         data = {"geometry": "naq2-4-3", "L": 3, "thetas": [-0.5, 0.5], "snr_db": 0}
-        with pytest.raises(ValueError, match=r"^unknown config keys: \['source_power'\]$"):
-            ExperimentConfig.from_dict({**data, "source_power": 1.0})
-        assert len(dataclasses.fields(ExperimentConfig)) == 13
-
-    def test_rejects_unknown_dedup_rule(self):
-        with pytest.raises(ValueError, match="dedup rule"):
-            small_config(dedup_rule="median")
+        with pytest.raises(ValueError, match=rf"^unknown config keys: \['{key}'\]$"):
+            ExperimentConfig.from_dict({**data, key: value})
+        assert len(dataclasses.fields(ExperimentConfig)) == 11
 
     def test_numpy_integers_become_ints(self):
         config = small_config(trials=np.int64(3), seed=np.uint8(5))
@@ -243,7 +236,8 @@ class TestExperimentConfig:
         [("geometries", [], "geometries"), ("thetas", [], "thetas"),
          ("snr_sweep", [], "snr_db_list"), ("algorithms", [], "algorithms"),
          ("algorithms", ["fancy"], "algorithms"), ("algorithms", "gca,avca", "algorithms"),
-         ("dedup_rule", "median", "dedup_rule"), ("dedup_rule", 3, "dedup_rule"),
+         ("geometries", {"kind": "ula", "n": 7}, "geometries"),
+         ("geometries", ["ula-07"], "geometries"),
          ("thetas", [0.5, -0.5], "thetas"), ("thetas", [2.0], "thetas"),
          ("thetas", [0.1, 0.1], "thetas"), ("geometries", "ring-5", "geometries"),
          ("geometries", {"kind": "ula"}, "geometries")],
@@ -346,7 +340,7 @@ class TestRunTrial:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             for algorithm in ("gca", "gmusic", "avca"):
-                result = run_trial(config, -1500.0, algorithm, 0, collect=True)
+                result = run_trial(config, -1500.0, algorithm, 0)
                 assert np.all(np.isfinite(result.estimate.thetas))
                 for s in result.artifacts.subspaces:
                     assert np.all(np.isfinite(s.eigenvalues))
@@ -362,7 +356,7 @@ class TestRunTrial:
         """Matched trials reuse the same snapshots across algorithms."""
         config = small_config(algorithms=("gca", "avca", "gmusic"))
         collected = {
-            name: run_trial(config, 10.0, name, 1, collect=True)
+            name: run_trial(config, 10.0, name, 1)
             for name in ("gca", "avca", "gmusic")
         }
         reference = collected["gca"].artifacts.covariances
@@ -373,7 +367,7 @@ class TestRunTrial:
     @pytest.mark.parametrize("algorithm", ["gca", "gmusic"])
     def test_memoised_arrays_are_read_only(self, algorithm):
         config = small_config(thetas=(-0.5, 0.5))
-        artifacts = run_trial(config, 10.0, algorithm, 0, collect=True).artifacts
+        artifacts = run_trial(config, 10.0, algorithm, 0).artifacts
         shared = [*artifacts.covariances,
                   *(s.values for s in artifacts.coarray_signals),
                   *(s.matrix for s in artifacts.smoothed),
@@ -386,22 +380,21 @@ class TestRunTrial:
 
     def test_collect_gathers_artifacts(self):
         config = small_config()
-        result = run_trial(config, 10.0, "gca", 0, collect=True)
+        result = run_trial(config, 10.0, "gca", 0)
         artifacts = result.artifacts
         assert len(artifacts.covariances) == 3
         assert len(artifacts.coarray_signals) == 3
         assert artifacts.smoothed[0].window == 15
         assert artifacts.spectrum.values.size == config.grid_size
-        assert run_trial(config, 10.0, "gca", 0).artifacts is None
 
     def test_trials_never_build_the_smoothed_matrix(self):
         harness._draw.cache_clear()  # a draw memoised by another test may hold a built one
-        artifacts = run_trial(small_config(), 10.0, "gca", 0, collect=True).artifacts
+        artifacts = run_trial(small_config(), 10.0, "gca", 0).artifacts
         assert all("matrix" not in vars(s) for s in artifacts.smoothed)
 
     def test_gmusic_skips_coarray_artifacts(self):
         config = small_config(thetas=(-0.5, 0.5))
-        result = run_trial(config, 10.0, "gmusic", 0, collect=True)
+        result = run_trial(config, 10.0, "gmusic", 0)
         assert result.artifacts.coarray_signals == ()
         assert result.artifacts.smoothed == ()
 

@@ -48,6 +48,11 @@ def test_package_exports_are_unique():
         (sparsedoa.DoaEstimate, ("thetas", "peak_values", "degraded")),
         (sparsedoa.CoarraySignal, ("lags", "values")),
         (sparsedoa.SmoothedCovariance, ("root",)),
+        (sparsedoa.GeometrySpec, ("label",)),
+        (sparsedoa.ExperimentConfig,
+         ("geometries", "n_subarrays", "spacing", "thetas", "snapshots", "snr_db_list",
+          "algorithms", "trials", "seed", "grid_size", "exact")),
+        (sparsedoa.TrialResult, ("estimate", "squared_error", "artifacts")),
     ],
 )
 def test_pipeline_records_hold_only_read_fields(record, fields):

@@ -144,6 +144,12 @@ class TestRejectsNonFinite:
             exact_covariance(build_ula(3), SourceSet.equal_power((0.1,)), value)
 
 
+@pytest.mark.parametrize("snapshots", [50.5, 50.0, True, "50", None])
+def test_scenario_snapshots_must_be_an_integer(snapshots):
+    with pytest.raises(ValueError, match="^'snapshots' must be an integer"):
+        make_scenario(snapshots=snapshots)
+
+
 class TestNoisePower:
     def test_reference_points(self):
         assert noise_power_for_snr(0.0) == pytest.approx(1.0)
