@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .coarray import _fix_vector_phases
 from .geometry import compose_type2, difference_coarray, dof_bound
 from .harness import ALGORITHMS, ExperimentConfig, GeometrySpec, run_trial, sweep
 
@@ -62,7 +63,8 @@ def _dump_intermediates(artifacts, estimate, path) -> None:
         arrays["coarray_lags"] = np.array(artifacts.coarray_signals[0].lags)
         arrays["coarray_values"] = np.stack([s.values for s in artifacts.coarray_signals])
         arrays["smoothed"] = np.stack([s.matrix for s in artifacts.smoothed])
-        arrays["signal_bases"] = np.stack([s.signal_basis for s in artifacts.subspaces])
+        bases = [_fix_vector_phases(s.signal_basis) for s in artifacts.subspaces]
+        arrays["signal_bases"] = np.stack(bases)
         arrays["eigenvalues"] = np.stack([s.eigenvalues for s in artifacts.subspaces])
     np.savez(path, **arrays)
 

@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoarraySignal:
-    """Virtual snapshot on the difference coarray, one value per distinct lag."""
+    """Virtual snapshot on the difference coarray, one value per distinct lag (last axis)."""
 
     lags: tuple[int, ...]
     values: np.ndarray
@@ -53,7 +53,7 @@ class CoarraySignal:
         """Values on the contiguous center, lags ascending from -c to c."""
         c = self.contiguous_half
         start = self.lags.index(-c)
-        return self.values[start : start + 2 * c + 1]
+        return self.values[..., start : start + 2 * c + 1]
 
 
 def covariance_to_coarray(covariance, geometry, rule: str = "average") -> CoarraySignal:
@@ -66,30 +66,33 @@ def covariance_to_coarray(covariance, geometry, rule: str = "average") -> Coarra
     column-major vectorization order of R (``rule="first"``).
 
     Args:
-        covariance: Hermitian ``N x N`` matrix (exact or sample).
+        covariance: Hermitian ``N x N`` matrix (exact or sample), or a stack ``(..., N, N)``.
         geometry: :class:`ArrayGeometry` or position sequence of length N.
         rule: ``"average"`` or ``"first"``.
 
     Returns:
-        :class:`CoarraySignal` with lags sorted ascending.
+        :class:`CoarraySignal` with lags sorted ascending and ``(..., K)`` values.
     """
     if rule not in ("average", "first"):
         raise ValueError(f"unknown dedup rule {rule!r}")
     pos = _as_positions(geometry)
     r = np.asarray(covariance)
     n = pos.size
-    if r.shape != (n, n):
+    if r.ndim < 2 or r.shape[-2:] != (n, n):
         raise ValueError(f"covariance shape {r.shape} does not match {n} positions")
 
     plan = _lag_plan(tuple(pos.tolist()))
-    vec = r.ravel(order="F")
+    vec = r.swapaxes(-1, -2).reshape(*r.shape[:-2], n * n)  # each matrix column-major
     if rule == "first":
-        values = vec[plan.first]
+        values = vec[..., plan.first]
     else:
+        # Matrix j's lags go to bins j*K..j*K+K-1; each bin sums in column-major order.
+        k = len(plan.lags)
+        bins = (plan.inverse + k * np.arange(vec.size // (n * n))[:, None]).ravel()
         values = (
-            np.bincount(plan.inverse, weights=vec.real)
-            + 1j * np.bincount(plan.inverse, weights=vec.imag)
-        ) / plan.counts
+            np.bincount(bins, weights=vec.real.ravel())
+            + 1j * np.bincount(bins, weights=vec.imag.ravel())
+        ).reshape(*r.shape[:-2], k) / plan.counts
     return CoarraySignal(plan.lags, values)
 
 
@@ -101,13 +104,13 @@ class SmoothedCovariance:
 
     @property
     def window(self) -> int:
-        return self.root.shape[0]
+        return self.root.shape[-1]
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The smoothed matrix (read-only), built from ``root`` on first use."""
-        smoothed = self.root @ self.root.conj().T / self.window
-        smoothed = (smoothed + smoothed.conj().T) / 2.0
+        smoothed = self.root @ self.root.conj().swapaxes(-1, -2) / self.window
+        smoothed = (smoothed + smoothed.conj().swapaxes(-1, -2)) / 2.0
         smoothed.setflags(write=False)
         return smoothed
 
@@ -133,7 +136,7 @@ def spatial_smooth(signal: CoarraySignal) -> SmoothedCovariance:
             "spatial smoothing needs a contiguous coarray segment beyond lag 0"
         )
     i = np.arange(c + 1)
-    root = signal.central_values()[i[:, None] - i[None, :] + c]
+    root = signal.central_values()[..., i[:, None] - i[None, :] + c]
     return SmoothedCovariance(root)
 
 
@@ -141,9 +144,9 @@ def spatial_smooth(signal: CoarraySignal) -> SmoothedCovariance:
 class SubspaceDecomposition:
     """Eigendecomposition split into signal and noise subspaces.
 
-    Eigenvalues are sorted descending; each eigenvector's first component of
-    non-negligible magnitude is rotated to be real positive, which fixes the
-    otherwise arbitrary phase and makes decompositions reproducible.
+    Eigenvalues are sorted descending.  Eigenvectors keep the phase ``eigh``
+    gives them, since only ``U U^H`` enters a spectrum; the phase convention
+    of :func:`_fix_vector_phases` lives in the ``run --dump-intermediates`` dump.
     """
 
     signal_basis: np.ndarray
@@ -152,16 +155,16 @@ class SubspaceDecomposition:
 
     @property
     def dimension(self) -> int:
-        return self.signal_basis.shape[0]
+        return self.signal_basis.shape[-2]
 
     @property
     def n_sources(self) -> int:
-        return self.signal_basis.shape[1]
+        return self.signal_basis.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the decomposed matrix from its eigenpairs."""
-        basis = np.hstack([self.signal_basis, self.noise_basis])
-        return (basis * self.eigenvalues) @ basis.conj().T
+        basis = np.concatenate([self.signal_basis, self.noise_basis], axis=-1)
+        return (basis * self.eigenvalues[..., None, :]) @ basis.conj().swapaxes(-1, -2)
 
 
 def _fix_vector_phases(vectors: np.ndarray) -> np.ndarray:
@@ -173,14 +176,14 @@ def _fix_vector_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def signal_subspace(covariance, n_sources: int) -> SubspaceDecomposition:
-    """Split a Hermitian covariance into signal and noise subspaces.
+    """Split a Hermitian covariance, or each of a stack of them, into signal and noise subspaces.
 
     A :class:`SmoothedCovariance` is decomposed through ``R_v``: its eigenpairs
     ranked by ``|lambda|`` are the smoothed matrix's, with eigenvalues ``lambda^2 / window``.
 
     Args:
         covariance: :class:`SmoothedCovariance` or a plain Hermitian matrix
-            (the latter serves physical-domain processing).
+            (the latter serves physical-domain processing), either stacked.
         n_sources: number of sources D; must satisfy ``D <= dim - 1`` so a
             noise subspace remains.
 
@@ -189,8 +192,8 @@ def signal_subspace(covariance, n_sources: int) -> SubspaceDecomposition:
     """
     smoothed = isinstance(covariance, SmoothedCovariance)
     matrix = covariance.root if smoothed else np.asarray(covariance)
-    dim = matrix.shape[0]
-    if matrix.shape != (dim, dim):
+    dim = matrix.shape[-1]
+    if matrix.ndim < 2 or matrix.shape[-2] != dim:
         raise ValueError("covariance must be square")
     if n_sources < 1:
         raise ValueError("need at least one source")
@@ -200,11 +203,14 @@ def signal_subspace(covariance, n_sources: int) -> SubspaceDecomposition:
             f"{dim}-dimensional covariance"
         )
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    order = np.argsort(-np.abs(eigenvalues), kind="stable") if smoothed else slice(None, None, -1)
-    eigenvalues = eigenvalues[order] ** 2 / covariance.window if smoothed else eigenvalues[order]
-    eigenvectors = _fix_vector_phases(eigenvectors[:, order])
+    if smoothed:
+        order = np.argsort(-np.abs(eigenvalues), axis=-1, kind="stable")
+        eigenvalues = np.take_along_axis(eigenvalues, order, -1) ** 2 / covariance.window
+        eigenvectors = np.take_along_axis(eigenvectors, order[..., None, :], -1)
+    else:
+        eigenvalues, eigenvectors = eigenvalues[..., ::-1], eigenvectors[..., ::-1]
     return SubspaceDecomposition(
-        signal_basis=eigenvectors[:, :n_sources],
-        noise_basis=eigenvectors[:, n_sources:],
+        signal_basis=eigenvectors[..., :n_sources],
+        noise_basis=eigenvectors[..., n_sources:],
         eigenvalues=eigenvalues,
     )

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coarray import SubspaceDecomposition, signal_subspace
+from .coarray import signal_subspace
 from .errors import TooManySourcesError
 from .geometry import TypeIILayout, _lag_plan
 
@@ -141,8 +141,8 @@ def _cached_table(max_lag: int, grid_size: int) -> np.ndarray:
     return table
 
 
-def _check_subspaces(subspaces) -> tuple[tuple[SubspaceDecomposition, ...], int]:
-    """The decompositions as a tuple, and their common virtual array size."""
+def _check_subspaces(subspaces) -> tuple[list[np.ndarray], int]:
+    """The decompositions' signal bases, and their common virtual array size."""
     subspaces = tuple(subspaces)
     if not subspaces:
         raise ValueError("need at least one subarray decomposition")
@@ -150,7 +150,7 @@ def _check_subspaces(subspaces) -> tuple[tuple[SubspaceDecomposition, ...], int]
     counts = {s.n_sources for s in subspaces}
     if len(dims) != 1 or len(counts) != 1:
         raise ValueError("subarray decompositions disagree on dimensions")
-    return subspaces, dims.pop()
+    return [s.signal_basis for s in subspaces], dims.pop()
 
 
 def _deficits(bases, positions: tuple[int, ...], table: np.ndarray) -> np.ndarray:
@@ -179,25 +179,25 @@ def _averaged(deficits: np.ndarray) -> np.ndarray:
 
 
 def _coarray_spectrum(rule, subspaces, thetas) -> np.ndarray:
-    subspaces, m = _check_subspaces(subspaces)
+    bases, m = _check_subspaces(subspaces)
     table = _trig_table(m - 1, np.asarray(thetas, dtype=np.float64))
-    return rule(_deficits([s.signal_basis for s in subspaces], tuple(range(m)), table))
+    return rule(_deficits(bases, tuple(range(m)), table))
 
 
-def _music(rule, decompositions, positions, n_sources, grid_size, refine):
-    """Grid spectrum by ``rule``, checked against ``n_sources``, and its peaks."""
-    d = decompositions[0].n_sources
+def _music(rule, bases, positions, n_sources, grid_size, refine):
+    """Grid spectrum by ``rule`` of ``bases``, checked against ``n_sources``, and its peaks."""
+    d = bases[0].shape[1]
     if n_sources is not None and n_sources != d:
         raise ValueError(f"decompositions hold {d} sources, caller expects {n_sources}")
     table = _cached_table(positions[-1] - positions[0], grid_size)
-    deficits = _deficits([s.signal_basis for s in decompositions], positions, table)
+    deficits = _deficits(bases, positions, table)
     spectrum = SpectrumGrid(grid_thetas(grid_size), rule(deficits))
     return spectrum, find_peaks(spectrum, d, refine=refine)
 
 
 def _coarray_music(rule, subspaces, n_sources, grid_size, refine):
-    subspaces, m = _check_subspaces(subspaces)
-    return _music(rule, subspaces, tuple(range(m)), n_sources, grid_size, refine)
+    bases, m = _check_subspaces(subspaces)
+    return _music(rule, bases, tuple(range(m)), n_sources, grid_size, refine)
 
 
 def gca_spectrum(subspaces, thetas) -> np.ndarray:
@@ -256,10 +256,10 @@ def g_music(
 ) -> tuple[SpectrumGrid, DoaEstimate]:
     """Physical-domain MUSIC with per-subarray subspace blocks.
 
-    Each subarray covariance is eigendecomposed on its own; the composite
-    steering vector stacks the physical steering vectors at the subarrays'
-    absolute positions.  Because every block is only ``n_sensors`` tall, the
-    source count must stay below the per-subarray sensor count.
+    Each subarray covariance is eigendecomposed on its own (one call on their
+    stack); the composite steering vector stacks the physical steering vectors
+    at the subarrays' absolute positions.  Because every block is only
+    ``n_sensors`` tall, the source count must stay below the per-subarray sensor count.
 
     Raises:
         TooManySourcesError: if ``n_sources >= layout.base.n_sensors``.
@@ -270,12 +270,11 @@ def g_music(
             f"physical-domain processing identifies at most {n - 1} sources "
             f"with {n}-sensor subarrays, got {n_sources}"
         )
-    covariances = list(covariances)
-    if len(covariances) != layout.n_subarrays:
+    covariances = np.asarray(covariances)
+    if covariances.ndim != 3 or len(covariances) != layout.n_subarrays:
         raise ValueError("one covariance per subarray required")
-    decompositions = [signal_subspace(np.asarray(r), n_sources) for r in covariances]
-    positions = layout.base.positions
-    return _music(_merged, decompositions, positions, n_sources, grid_size, refine)
+    bases = signal_subspace(covariances, n_sources).signal_basis
+    return _music(_merged, bases, layout.base.positions, n_sources, grid_size, refine)
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ def _as_positions(geometry, dtype=np.int64) -> np.ndarray:
     values = np.asarray(positions, dtype=np.float64)
     whole = np.isfinite(values) & (values == np.round(values))
     if not whole.all():
-        bad = positions[int(np.argmin(whole))]
+        bad = np.asarray(positions, dtype=object).ravel()[int(np.argmin(whole))]
         raise ValueError(f"sensor positions must be whole numbers, got {bad!r}")
     return np.asarray(positions, dtype=dtype)
 

@@ -12,10 +12,11 @@ worker count never changes any draw.
 
 A sweep simulates and decomposes each keyed draw once and shares it with
 every algorithm: it walks (geometry, SNR) groups, runs all algorithms of a
-trial back to back, and ``run_trial`` reads the draw from a one-entry memo.
-``gmusic`` reuses the draw's covariances, while ``gca`` and ``avca`` also
-share its coarray signals, smoothed covariances and subspaces.  Parallel
-sweeps spread the (geometry, SNR) groups over worker processes.
+trial back to back, and ``run_trial`` reads the draw from a one-entry memo
+and its group's set-up (layout, sources, steering) from another.  Each stage
+runs once per draw, on the stack of its L subarrays.  ``gmusic`` reuses the
+draw's covariances, while ``gca`` and ``avca`` also share its coarray signals,
+smoothed covariances and subspaces.  Parallel sweeps spread the groups over processes.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ import json
 import math
 import numbers
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
+from .coarray import CoarraySignal, SmoothedCovariance, SubspaceDecomposition
 from .coarray import covariance_to_coarray, signal_subspace, spatial_smooth
 from .errors import DegenerateCoarrayError, TooManySourcesError
 from .estimators import DoaEstimate, SpectrumGrid, avca_music, g_music, gca_music
@@ -321,31 +322,38 @@ def rmse(squared_errors, n_sources: int) -> float:
 class _Draw:
     """One keyed draw: the data every algorithm of a matched trial sees.
 
-    Its arrays are read-only because several trials share them.  The
-    coarray stage is computed on first use, so ``gca`` and ``avca`` share
-    one eigendecomposition per subarray and ``gmusic`` never pays for it.
+    Its arrays are read-only because several trials share them.  The coarray
+    stage runs on first use, one call per stage on the ``(L, ...)`` stack, so
+    ``gca`` and ``avca`` share it and ``gmusic`` never pays for it.
     """
 
     layout: TypeIILayout
     sources: SourceSet
-    covariances: tuple[np.ndarray, ...]
+    covariances: np.ndarray  # (L, N, N)
 
     @cached_property
     def coarray_stage(self) -> tuple[tuple, tuple, tuple]:
-        """Per subarray: coarray signals, smoothed covariances, subspaces."""
-        base = self.layout.base
-        signals = tuple(covariance_to_coarray(r, base) for r in self.covariances)
-        smoothed = tuple(spatial_smooth(sig) for sig in signals)
-        subspaces = tuple(signal_subspace(s, self.sources.count) for s in smoothed)
-        _read_only(*(sig.values for sig in signals), *(s.root for s in smoothed))
-        for s in subspaces:
-            _read_only(s.signal_basis, s.noise_basis, s.eigenvalues)
-        return signals, smoothed, subspaces
+        """Per subarray: coarray signals, smoothed covariances, subspaces (views of stacks)."""
+        signal = covariance_to_coarray(self.covariances, self.layout.base)
+        smoothed = spatial_smooth(signal)
+        s = signal_subspace(smoothed, self.sources.count)
+        _read_only(signal.values, smoothed.root, s.signal_basis, s.noise_basis, s.eigenvalues)
+        return (tuple(CoarraySignal(signal.lags, values) for values in signal.values),
+                tuple(SmoothedCovariance(root) for root in smoothed.root),
+                tuple(map(SubspaceDecomposition, s.signal_basis, s.noise_basis, s.eigenvalues)))
 
 
 def _read_only(*arrays: np.ndarray) -> None:
     for array in arrays:
         array.setflags(write=False)
+
+
+@lru_cache(maxsize=1)
+def _scenario(config: ExperimentConfig, snr_db: float, geometry_index: int) -> Scenario:
+    """What every draw of one (geometry, SNR) group shares; the memo holds one group."""
+    (noise_power,) = _noise_powers("snr_db", [snr_db])
+    return Scenario(config.layout(geometry_index), config.source_set(), noise_power,
+                    config.snapshots)
 
 
 @lru_cache(maxsize=1)
@@ -357,21 +365,17 @@ def _draw(config: ExperimentConfig, snr_bits: int, trial_index: int,
     0.0 and -0.0 compare equal but seed different draws.
     """
     (snr_db,) = struct.unpack("<d", struct.pack("<Q", snr_bits))
-    layout = config.layout(geometry_index)
-    sources = config.source_set()
-    (noise_power,) = _noise_powers("snr_db", [snr_db])
+    scenario = _scenario(config, snr_db, geometry_index)
+    layout = scenario.layout
     if config.exact:
-        covariances = tuple(
-            exact_covariance(layout.subarray_positions(l), sources, noise_power)
-            for l in range(layout.n_subarrays)
-        )
+        positions = np.add.outer(layout.offsets, layout.base.positions)
+        covariances = exact_covariance(positions, scenario.sources, scenario.noise_power)
     else:
-        scenario = Scenario(layout, sources, noise_power, config.snapshots)
         keys = trial_seed_sequence(config.seed, geometry_index, snr_db, trial_index)
         batch = simulate_snapshots(scenario, rng=np.random.default_rng(keys))
-        covariances = tuple(sample_covariance(batch.matrices))
-    _read_only(*covariances)
-    return _Draw(layout, sources, covariances)
+        covariances = sample_covariance(batch.matrices)
+    _read_only(covariances)
+    return _Draw(layout, scenario.sources, covariances)
 
 
 def run_trial(
@@ -403,9 +407,7 @@ def run_trial(
     draw = _draw(config, _snr_bits(snr_db), trial_index, geometry_index)
     d = draw.sources.count
 
-    coarray_signals = ()
-    smoothed = ()
-    subspaces = ()
+    coarray_signals = smoothed = subspaces = ()
     if algorithm == "gmusic":
         spectrum, estimate = g_music(draw.covariances, draw.layout, d, grid_size=config.grid_size)
     else:
@@ -418,7 +420,8 @@ def run_trial(
     else:
         truth = np.sort(draw.sources.theta_array)
         squared_error = float(np.sum((np.sort(estimate.thetas) - truth) ** 2))
-    artifacts = TrialArtifacts(draw.covariances, coarray_signals, smoothed, subspaces, spectrum)
+    artifacts = TrialArtifacts(tuple(draw.covariances), coarray_signals, smoothed, subspaces,
+                               spectrum)
     return TrialResult(estimate, squared_error, artifacts)
 
 
@@ -495,6 +498,7 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
     if workers == 1:
         rows = [runner(group) for group in groups]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # off the import path: ~15 ms
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(runner, groups))
     by_group = dict(zip(groups, rows))

@@ -10,6 +10,7 @@ own unknown phase offset, which models uncalibrated local oscillators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ __all__ = [
 
 def _steering(positions: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """``exp(j*pi*position*theta)``: one row per position, one column per direction."""
-    return np.exp(1j * np.pi * positions[:, None] * thetas[None, :])
+    return np.exp(1j * np.pi * positions[..., None] * thetas)
 
 
 def _check_direction_range(thetas) -> np.ndarray:
@@ -97,7 +98,8 @@ def steering_matrix(positions, directions) -> np.ndarray:
     """Stack steering vectors column-wise, one per source direction.
 
     Args:
-        positions: :class:`ArrayGeometry` or sequence of positions.
+        positions: :class:`ArrayGeometry`, sequence of positions, or a stack
+            of position rows, which gives the stack of their matrices.
         directions: :class:`SourceSet` or sequence of directions; column
             order follows the input order.
     """
@@ -112,12 +114,12 @@ def steering_matrix(positions, directions) -> np.ndarray:
 
 
 def exact_covariance(positions, sources: SourceSet, noise_power: float) -> np.ndarray:
-    """Ensemble covariance ``A diag(p) A^H + noise_power * I``."""
+    """Ensemble covariance ``A diag(p) A^H + noise_power * I`` (a stack for stacked positions)."""
     if not 0 <= noise_power < np.inf:
         raise ValueError("noise power must be non-negative")
     a = steering_matrix(positions, sources)
-    r = (a * sources.power_array) @ a.conj().T + noise_power * np.eye(a.shape[0])
-    return (r + r.conj().T) / 2.0
+    r = (a * sources.power_array) @ a.conj().swapaxes(-1, -2) + noise_power * np.eye(a.shape[-2])
+    return (r + r.conj().swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,14 @@ class Scenario:
         object.__setattr__(self, "snapshots", _integer("snapshots", self.snapshots))
         if self.snapshots < 1:
             raise ValueError("need at least one snapshot")
+
+    @cached_property
+    def steering(self) -> np.ndarray:
+        """The ``(L, n_sensors, D)`` subarray steering stack, built once per scenario."""
+        positions = np.add.outer(self.layout.offsets, self.layout.base.positions)
+        steering = _steering(positions, self.sources.theta_array)
+        steering.setflags(write=False)
+        return steering
 
 
 @dataclass(frozen=True)
@@ -179,8 +189,7 @@ def simulate_snapshots(
     signal_rng, noise_rng, phase_rng = rng.spawn(3)
 
     sources = scenario.sources
-    positions = np.add.outer(scenario.layout.offsets, scenario.layout.base.positions)
-    n_sub, n_sensors = positions.shape
+    n_sub, n_sensors, _ = scenario.steering.shape
 
     if phases is None:
         offsets = phase_rng.uniform(0.0, 2.0 * np.pi, n_sub)
@@ -191,13 +200,12 @@ def simulate_snapshots(
         if offsets.shape != (n_sub,):
             raise ValueError(f"expected {n_sub} phase offsets, got shape {offsets.shape}")
 
-    steering = steering_matrix(positions.ravel(), sources).reshape(n_sub, n_sensors, -1)
     signal = signal_rng.standard_normal((2, sources.count, scenario.snapshots))
     waveforms = np.sqrt(0.5) * (signal[0] + 1j * signal[1]) * np.sqrt(sources.power_array)[:, None]
     noise = noise_rng.standard_normal((n_sub, 2, n_sensors, scenario.snapshots))
     noise = np.sqrt(scenario.noise_power / 2.0) * (noise[:, 0] + 1j * noise[:, 1])
     rotations = np.exp(-1j * offsets)[:, None, None]
-    return SnapshotBatch(rotations * (steering @ waveforms + noise), offsets)
+    return SnapshotBatch(rotations * (scenario.steering @ waveforms + noise), offsets)
 
 
 def sample_covariance(snapshots: np.ndarray) -> np.ndarray:

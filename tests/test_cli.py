@@ -3,10 +3,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sparsedoa
 from sparsedoa import geometry, harness
 from sparsedoa.cli import build_parser, main
 
@@ -278,3 +281,14 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "missing" / "x.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """The pool is imported only by a sweep with several workers, off every cold start."""
+    src = os.path.dirname(os.path.dirname(sparsedoa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, sparsedoa.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,8 +1,12 @@
 """Coarray mapping, spatial smoothing, and subspace extraction."""
 
+import json
+
 import numpy as np
 import pytest
 
+from sparsedoa import harness
+from sparsedoa.cli import main
 from sparsedoa.coarray import (
     _fix_vector_phases,
     covariance_to_coarray,
@@ -226,15 +230,25 @@ class TestSignalSubspace:
         residual = a_virtual - u @ (u.conj().T @ a_virtual)
         assert np.linalg.norm(residual) <= 1e-8
 
-    def test_deterministic_phase_convention(self):
-        smoothed, _ = self.make_smoothed()
-        u1 = signal_subspace(smoothed, 3).signal_basis
-        u2 = signal_subspace(smoothed, 3).signal_basis
-        assert np.array_equal(u1, u2)
-        anchors = np.argmax(np.abs(u1) > 1e-12 * np.max(np.abs(u1)), axis=0)
-        for col, row in enumerate(anchors):
-            assert u1[row, col].imag == pytest.approx(0.0, abs=1e-14)
-            assert u1[row, col].real > 0
+    def test_deterministic_phase_convention(self, tmp_path):
+        """The dump of ``sparsedoa run`` rotates each basis column's anchor real positive."""
+        config = tmp_path / "exact.json"
+        config.write_text(json.dumps({"geometry": "naq2-4-3", "L": 3, "snr_db": 3,
+                                      "thetas": [-0.4, 0.1, 0.6], "exact": True}))
+        dumps = []
+        for name in ("first", "second"):
+            harness._draw.cache_clear()
+            path = tmp_path / f"{name}.npz"
+            assert main(["run", "--config", str(config), "--algorithm", "gca",
+                         "--dump-intermediates", str(path)]) == 0
+            with np.load(path) as data:
+                dumps.append(data["signal_bases"])
+        assert np.array_equal(*dumps)
+        for u in dumps[0]:
+            anchors = np.argmax(np.abs(u) > 1e-12 * np.max(np.abs(u), axis=0), axis=0)
+            for col, row in enumerate(anchors):
+                assert u[row, col].imag == pytest.approx(0.0, abs=1e-14)
+                assert u[row, col].real > 0
 
     def test_phase_fix_matches_column_loop_bit_for_bit(self):
         rng = np.random.default_rng(2024)
@@ -275,3 +289,37 @@ class TestSignalSubspace:
         decomposition = signal_subspace(r, 1)
         assert decomposition.eigenvalues[0] == pytest.approx(3.0)
         assert np.allclose(np.abs(decomposition.signal_basis[:, 0]), [1, 0, 0])
+
+
+def hermitian_stack(rng, count, n):
+    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return a @ a.conj().swapaxes(-1, -2)
+
+
+class TestStacks:
+    """Every stage gives a stack, bit for bit, what it gives each of its slices alone."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [7, 15, 24, 30])
+    def test_stack_equals_the_loop_of_its_slices(self, n, count):
+        rng = np.random.default_rng(100 * n + count)
+        stack = hermitian_stack(rng, count, n)
+        for rule in ("average", "first"):
+            signal = covariance_to_coarray(stack, range(n), rule)
+            signals = [covariance_to_coarray(r, range(n), rule) for r in stack]
+            assert signal.lags == signals[0].lags
+            assert np.array_equal(signal.values, np.stack([s.values for s in signals]))
+
+            smoothed = spatial_smooth(signal)
+            slices = [spatial_smooth(s) for s in signals]
+            assert smoothed.window == n
+            for field in ("root", "matrix"):
+                expected = np.stack([getattr(s, field) for s in slices])
+                assert np.array_equal(getattr(smoothed, field), expected)
+
+            for matrices, singles in ((smoothed, slices), (stack, list(stack))):
+                decomposition = signal_subspace(matrices, 3)
+                loop = [signal_subspace(m, 3) for m in singles]
+                for field in ("signal_basis", "noise_basis", "eigenvalues"):
+                    expected = np.stack([getattr(d, field) for d in loop])
+                    assert np.array_equal(getattr(decomposition, field), expected)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import os
 import warnings
@@ -483,13 +484,33 @@ class TestDrawSharing:
                               snr_db_list=(0.0, 10.0), trials=2)
         curves = sweep(config)
         draws = len(config.snr_db_list) * config.trials
-        assert counters == {"simulate": draws, "subspace": draws * config.n_subarrays}
+        assert counters == {"simulate": draws, "subspace": draws}
         assert curves == cell_references(config)
 
     def test_repeated_sweeps_reuse_nothing(self, counters):
         config = small_config(snr_db_list=(10.0,), trials=1)
         assert sweep(config) == sweep(config)
         assert counters["simulate"] == 2
+
+    def test_a_cold_trial_simulates_only_its_own_draw(self, counters):
+        harness._draw.cache_clear()
+        harness._scenario.cache_clear()
+        run_trial(small_config(trials=200), 10.0, "gca", 7)
+        assert counters["simulate"] == 1
+
+    def test_sweeps_and_trials_leave_no_reference_cycles(self):
+        """Memo objects that point at each other would keep dead draws until a collection."""
+        config = small_config(algorithms=("gca", "gmusic", "avca"),
+                              snr_db_list=(0.0, 10.0), trials=2)
+        gc.collect()
+        gc.disable()
+        try:
+            sweep(config)
+            for algorithm in config.algorithms:
+                run_trial(config, 10.0, algorithm, 0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_repeated_positions_keep_their_own_rows(self):
         config = small_config(geometries=("ula-7", "naq2-4-3", "ula-7"),

@@ -110,6 +110,15 @@ class TestExactCovariance:
         with pytest.raises(ValueError):
             exact_covariance(build_ula(2), SourceSet.equal_power((0.0,)), -0.1)
 
+    def test_stacked_positions_give_the_loop_of_their_rows_bit_for_bit(self):
+        sources = SourceSet.equal_power((-0.6, 0.1, 0.7), power=1.5)
+        positions = np.add.outer([0, 10, 20], [0, 1, 4, 9])
+        stacked = exact_covariance(positions, sources, 0.3)
+        assert np.array_equal(stacked, np.stack([exact_covariance(tuple(row), sources, 0.3)
+                                                 for row in positions.tolist()]))
+        with pytest.raises(ValueError, match="got 7.5"):
+            exact_covariance([[0, 1], [5, 7.5]], sources, 0.3)
+
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -179,6 +188,14 @@ class TestSimulateSnapshots:
             assert x.shape == (7, 64)
             assert np.iscomplexobj(x)
         assert batch.phase_shifts.shape == (3,)
+
+    def test_scenario_steering_is_the_stack_of_subarray_steering_matrices(self):
+        scenario = make_scenario()
+        layout = scenario.layout
+        expected = [steering_matrix(layout.subarray_positions(l), scenario.sources)
+                    for l in range(layout.n_subarrays)]
+        assert np.array_equal(scenario.steering, np.stack(expected))
+        assert not scenario.steering.flags.writeable
 
     def test_deterministic_given_rng(self):
         scenario = make_scenario()
