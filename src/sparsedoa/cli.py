@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--config", required=True, help="JSON experiment config")
     swp.add_argument("--out", required=True, help="output CSV path")
     swp.add_argument("--workers", type=int, default=1,
-                     help="processes sharing the (geometry, SNR) groups (default 1)")
+                     help="processes sharing the blocks of draws (default 1)")
     swp.add_argument("--seed", type=int, help="override the config seed")
     swp.set_defaults(func=_cmd_sweep)
     return parser

@@ -115,6 +115,15 @@ class SmoothedCovariance:
         return smoothed
 
 
+def _smoothing_window(contiguous_half: int) -> int:
+    """The virtual array size ``M = c + 1`` that smoothing over a contiguous half ``c`` yields."""
+    if contiguous_half < 1:
+        raise DegenerateCoarrayError(
+            "spatial smoothing needs a contiguous coarray segment beyond lag 0"
+        )
+    return contiguous_half + 1
+
+
 def spatial_smooth(signal: CoarraySignal) -> SmoothedCovariance:
     """Forward spatial smoothing over the contiguous coarray center.
 
@@ -130,11 +139,7 @@ def spatial_smooth(signal: CoarraySignal) -> SmoothedCovariance:
     Raises:
         DegenerateCoarrayError: if the contiguous center is a single lag.
     """
-    c = signal.contiguous_half
-    if c < 1:
-        raise DegenerateCoarrayError(
-            "spatial smoothing needs a contiguous coarray segment beyond lag 0"
-        )
+    c = _smoothing_window(signal.contiguous_half) - 1
     i = np.arange(c + 1)
     root = signal.central_values()[..., i[:, None] - i[None, :] + c]
     return SmoothedCovariance(root)
@@ -175,6 +180,17 @@ def _fix_vector_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.conj(phases)
 
 
+def _check_sources(n_sources: int, dim: int) -> None:
+    """Raise unless ``1 <= n_sources < dim``: a decomposition must keep a noise subspace."""
+    if n_sources < 1:
+        raise ValueError("need at least one source")
+    if n_sources >= dim:
+        raise TooManySourcesError(
+            f"{n_sources} sources exceed the {dim - 1}-source limit of a "
+            f"{dim}-dimensional covariance"
+        )
+
+
 def signal_subspace(covariance, n_sources: int) -> SubspaceDecomposition:
     """Split a Hermitian covariance, or each of a stack of them, into signal and noise subspaces.
 
@@ -195,13 +211,7 @@ def signal_subspace(covariance, n_sources: int) -> SubspaceDecomposition:
     dim = matrix.shape[-1]
     if matrix.ndim < 2 or matrix.shape[-2] != dim:
         raise ValueError("covariance must be square")
-    if n_sources < 1:
-        raise ValueError("need at least one source")
-    if n_sources >= dim:
-        raise TooManySourcesError(
-            f"{n_sources} sources exceed the {dim - 1}-source limit of a "
-            f"{dim}-dimensional covariance"
-        )
+    _check_sources(n_sources, dim)
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     if smoothed:
         order = np.argsort(-np.abs(eigenvalues), axis=-1, kind="stable")

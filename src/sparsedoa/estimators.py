@@ -71,10 +71,6 @@ class SpectrumGrid:
     def size(self) -> int:
         return self.thetas.size
 
-    @property
-    def step(self) -> float:
-        return float(self.thetas[1] - self.thetas[0])
-
 
 @dataclass(frozen=True)
 class DoaEstimate:
@@ -154,28 +150,33 @@ def _check_subspaces(subspaces) -> tuple[list[np.ndarray], int]:
 
 
 def _deficits(bases, positions: tuple[int, ...], table: np.ndarray) -> np.ndarray:
-    """Projection deficits ``|a|^2 - |U^H a|^2``, one row per basis, one column per direction.
+    """Projection deficits ``|a|^2 - |U^H a|^2``: one row per basis of the ``(..., n, D)``
+    stack ``bases``, one column per direction.
 
     ``a`` is the steering vector at the strictly increasing ``positions``; ``table`` is
     ``_trig_table(positions[-1] - positions[0], thetas)`` for the directions.
     """
-    u = np.stack(bases)
-    projectors = u @ u.conj().transpose(0, 2, 1)
+    u = np.asarray(bases)
+    projectors = u @ u.conj().swapaxes(-1, -2)
     plan = _lag_plan(positions)
-    lower = projectors[:, plan.rows, plan.cols]
-    coefficients = np.concatenate([lower.real @ plan.binning, lower.imag @ plan.binning], axis=1)
-    trace = np.trace(projectors, axis1=1, axis2=2).real
-    return (len(positions) - trace)[:, None] - 2.0 * coefficients @ table
+    lower = projectors[..., plan.rows, plan.cols]
+    coefficients = np.concatenate([lower.real @ plan.binning, lower.imag @ plan.binning], axis=-1)
+    trace = np.trace(projectors, axis1=-2, axis2=-1).real
+    deficits = coefficients @ table
+    deficits *= -2.0  # in place: a block's stack is the largest array of a sweep
+    deficits += (len(positions) - trace)[..., None]
+    return deficits
 
 
 def _merged(deficits: np.ndarray) -> np.ndarray:
-    """The ``gca`` and ``g_music`` rule: reciprocal of the summed deficits."""
-    return 1.0 / np.maximum(sum(deficits), DENOMINATOR_FLOOR)
+    """The ``gca`` and ``g_music`` rule: reciprocal of the deficits summed over axis -2."""
+    return 1.0 / np.maximum(deficits.sum(axis=-2), DENOMINATOR_FLOOR)
 
 
 def _averaged(deficits: np.ndarray) -> np.ndarray:
-    """The ``avca`` rule: mean of the per-subarray reciprocal deficits."""
-    return sum(1.0 / np.maximum(d, DENOMINATOR_FLOOR) for d in deficits) / len(deficits)
+    """The ``avca`` rule: mean over axis -2 of the reciprocal deficits."""
+    subarrays = np.moveaxis(deficits, -2, 0)
+    return sum(1.0 / np.maximum(d, DENOMINATOR_FLOOR) for d in subarrays) / len(subarrays)
 
 
 def _coarray_spectrum(rule, subspaces, thetas) -> np.ndarray:
@@ -184,15 +185,28 @@ def _coarray_spectrum(rule, subspaces, thetas) -> np.ndarray:
     return rule(_deficits(bases, tuple(range(m)), table))
 
 
+def _grid_estimates(rules, bases: np.ndarray, positions, grid_size: int, refine: bool = True):
+    """Grid spectra and peaks of a ``(draws, L, n, D)`` basis stack, one row per draw.
+
+    The deficits are computed once and shared by every merge rule in ``rules``; each
+    rule gives ``(spectra, thetas, peak values, degraded)`` as in :func:`_peaks`.
+    """
+    table = _cached_table(positions[-1] - positions[0], grid_size)
+    deficits = _deficits(bases, positions, table)
+    thetas = grid_thetas(grid_size)
+    return [(values, *_peaks(values, thetas, bases.shape[-1], refine))
+            for values in (rule(deficits) for rule in rules)]
+
+
 def _music(rule, bases, positions, n_sources, grid_size, refine):
     """Grid spectrum by ``rule`` of ``bases``, checked against ``n_sources``, and its peaks."""
     d = bases[0].shape[1]
     if n_sources is not None and n_sources != d:
         raise ValueError(f"decompositions hold {d} sources, caller expects {n_sources}")
-    table = _cached_table(positions[-1] - positions[0], grid_size)
-    deficits = _deficits(bases, positions, table)
-    spectrum = SpectrumGrid(grid_thetas(grid_size), rule(deficits))
-    return spectrum, find_peaks(spectrum, d, refine=refine)
+    ((values, thetas, peak_values, degraded),) = _grid_estimates(
+        [rule], np.asarray(bases)[None], positions, grid_size, refine)
+    spectrum = SpectrumGrid(grid_thetas(grid_size), values[0])
+    return spectrum, DoaEstimate(thetas[0], peak_values[0], bool(degraded[0]))
 
 
 def _coarray_music(rule, subspaces, n_sources, grid_size, refine):
@@ -277,15 +291,22 @@ def g_music(
     return _music(_merged, bases, layout.base.positions, n_sources, grid_size, refine)
 
 
-def _local_maxima(values: np.ndarray) -> np.ndarray:
-    """Indices of strict local maxima, one per run of equal values.
+def _local_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the strict local maxima of each row, in row-major order.
 
-    A run counts at its first index and is a peak when both neighbouring
-    runs are lower.  Each NaN and each infinity is a run of its own.
+    A run of equal values counts at its first index and is a peak when both
+    neighbouring runs of its row are lower; each NaN and each infinity is a run
+    of its own.  Only run ends that fall next are examined, and a plateau looks
+    back for the slope before it.
     """
-    starts = np.flatnonzero(np.diff(values, prepend=np.nan) != 0)
-    v = values[starts]
-    return starts[1:-1][(v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])]
+    slopes = np.diff(values, axis=-1)
+    rows, ends = np.nonzero((slopes[:, :-1] >= 0) & (slopes[:, 1:] < 0))
+    starts = ends + 1
+    for n in np.flatnonzero(slopes[rows, ends] == 0):
+        before = np.flatnonzero(slopes[rows[n], : ends[n]])
+        starts[n] = before[-1] + 1 if before.size else 0
+    peaks = (starts > 0) & (slopes[rows, starts - 1] > 0)
+    return rows[peaks], starts[peaks]
 
 
 def _parabolic_offsets(left, center, right) -> np.ndarray:
@@ -296,6 +317,31 @@ def _parabolic_offsets(left, center, right) -> np.ndarray:
     ok = np.isfinite(curvature) & (curvature < 0)
     offsets = np.where(ok, 0.5 * (left - right) / np.where(ok, curvature, -1.0), 0.0)
     return np.clip(offsets, -0.5, 0.5)
+
+
+def _peaks(values: np.ndarray, thetas: np.ndarray, n_sources: int, refine: bool = True):
+    """The rule of :func:`find_peaks` on each row of ``values`` (sampled at ``thetas``).
+
+    Only the local maxima are ranked, all rows in one sort.  Returns the
+    estimates and peak values, ``(rows, D)`` each, and the rows' degraded flags.
+    """
+    rows, cols = _local_maxima(values)
+    counts = np.bincount(rows, minlength=len(values))
+    order = np.lexsort((cols, -values[rows, cols], rows))  # by row, value down, leftmost first
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    degraded = counts < n_sources
+    top = np.sort(order[rank < n_sources])  # back in row-major order: by direction
+    chosen = np.empty((len(values), min(n_sources, values.shape[-1])), dtype=np.intp)
+    chosen[~degraded] = cols[top[~degraded[rows[top]]]].reshape(-1, chosen.shape[1])
+    fallback = np.argsort(-values[degraded], axis=-1, kind="stable")[:, :n_sources]
+    chosen[degraded] = np.sort(fallback, axis=-1)
+    row_index = np.arange(len(values))[:, None]
+    estimates = thetas[chosen]
+    if refine:
+        r, c = row_index[~degraded], chosen[~degraded]
+        offsets = _parabolic_offsets(values[r, c - 1], values[r, c], values[r, c + 1])
+        estimates[~degraded] += (thetas[1] - thetas[0]) * offsets
+    return estimates, values[row_index, chosen], degraded
 
 
 def find_peaks(spectrum: SpectrumGrid, n_sources: int, refine: bool = True) -> DoaEstimate:
@@ -309,16 +355,8 @@ def find_peaks(spectrum: SpectrumGrid, n_sources: int, refine: bool = True) -> D
     """
     if n_sources < 1:
         raise ValueError("need at least one source")
-    values = spectrum.values
-    if values.size < 3:
+    if spectrum.values.size < 3:
         raise ValueError("grid too small for peak finding")
-    peaks = _local_maxima(values)
-    degraded = peaks.size < n_sources
-    candidates = np.arange(values.size) if degraded else peaks
-    ranked = candidates[np.argsort(-values[candidates], kind="stable")]
-    chosen = np.sort(ranked[:n_sources])
-    thetas = spectrum.thetas[chosen]
-    if refine and not degraded:
-        offsets = _parabolic_offsets(values[chosen - 1], values[chosen], values[chosen + 1])
-        thetas = thetas + spectrum.step * offsets
-    return DoaEstimate(thetas, values[chosen], degraded=degraded)
+    thetas, peak_values, degraded = _peaks(spectrum.values[None], spectrum.thetas, n_sources,
+                                           refine)
+    return DoaEstimate(thetas[0], peak_values[0], bool(degraded[0]))

@@ -10,13 +10,15 @@ bit pattern, trial index).  The algorithm is deliberately not part of the
 key, so competing algorithms see identical data in matched trials, and the
 worker count never changes any draw.
 
-A sweep simulates and decomposes each keyed draw once and shares it with
-every algorithm: it walks (geometry, SNR) groups, runs all algorithms of a
-trial back to back, and ``run_trial`` reads the draw from a one-entry memo
-and its group's set-up (layout, sources, steering) from another.  Each stage
-runs once per draw, on the stack of its L subarrays.  ``gmusic`` reuses the
-draw's covariances, while ``gca`` and ``avca`` also share its coarray signals,
-smoothed covariances and subspaces.  Parallel sweeps spread the groups over processes.
+A sweep walks each geometry's draws in (SNR, trial) order, in blocks of a
+few draws.  Each draw is simulated on its own; from the stack of the
+block's covariances on, every stage (coarray, smoothing, subspaces, the
+lag-domain spectra and the peak search) runs once per block, and ``gca`` and
+``avca`` share one stack of subspaces and deficits.  ``run_trial`` reads a
+trial's row of the block in flight, or runs the same stages on a block of its
+one draw.  An algorithm that cannot identify the sources on a geometry is
+found before any draw is simulated.  Parallel sweeps spread the blocks over
+processes.
 """
 
 from __future__ import annotations
@@ -27,14 +29,17 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .coarray import CoarraySignal, SmoothedCovariance, SubspaceDecomposition
+from .coarray import _check_sources, _smoothing_window
 from .coarray import covariance_to_coarray, signal_subspace, spatial_smooth
 from .errors import DegenerateCoarrayError, TooManySourcesError
+# Not called here, but tracers wrap ``gca_music``, ``avca_music`` and ``g_music`` by these names.
 from .estimators import DoaEstimate, SpectrumGrid, avca_music, g_music, gca_music
+from .estimators import _averaged, _grid_estimates, _merged, grid_thetas
 from .geometry import (
     ArrayGeometry,
     TypeIILayout,
@@ -44,6 +49,7 @@ from .geometry import (
     build_super_nested2,
     build_ula,
     compose_type2,
+    difference_coarray,
 )
 from .sigmodel import (
     Scenario,
@@ -318,29 +324,16 @@ def rmse(squared_errors, n_sources: int) -> float:
     return float(np.sqrt(np.sum(errors) / (n_sources * len(errors))))
 
 
-@dataclass(frozen=True)
-class _Draw:
-    """One keyed draw: the data every algorithm of a matched trial sees.
+#: A block holds at most this many deficit values, (draws * L) x grid, so memory
+#: stays bounded for any grid size: 8 draws at L = 3 and 2001 grid points.
+_BLOCK_VALUES = 49_152
 
-    Its arrays are read-only because several trials share them.  The coarray
-    stage runs on first use, one call per stage on the ``(L, ...)`` stack, so
-    ``gca`` and ``avca`` share it and ``gmusic`` never pays for it.
-    """
+#: Each algorithm's rule for merging its per-subarray deficits into a spectrum.
+_RULES = {"gca": _merged, "avca": _averaged, "gmusic": _merged}
 
-    layout: TypeIILayout
-    sources: SourceSet
-    covariances: np.ndarray  # (L, N, N)
-
-    @cached_property
-    def coarray_stage(self) -> tuple[tuple, tuple, tuple]:
-        """Per subarray: coarray signals, smoothed covariances, subspaces (views of stacks)."""
-        signal = covariance_to_coarray(self.covariances, self.layout.base)
-        smoothed = spatial_smooth(signal)
-        s = signal_subspace(smoothed, self.sources.count)
-        _read_only(signal.values, smoothed.root, s.signal_basis, s.noise_basis, s.eigenvalues)
-        return (tuple(CoarraySignal(signal.lags, values) for values in signal.values),
-                tuple(SmoothedCovariance(root) for root in smoothed.root),
-                tuple(map(SubspaceDecomposition, s.signal_basis, s.noise_basis, s.eigenvalues)))
+#: (config, geometry index, SNR bits, trial index, algorithm) -> TrialResult for
+#: the block of draws that ``sweep`` has in flight.
+_installed: dict = {}
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -349,33 +342,79 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=1)
-def _scenario(config: ExperimentConfig, snr_db: float, geometry_index: int) -> Scenario:
-    """What every draw of one (geometry, SNR) group shares; the memo holds one group."""
+def _scenario(config: ExperimentConfig, snr_db: float, geometry_index: int):
+    """What every draw of one (geometry, SNR) group shares: its scenario and, with
+    ``exact``, its covariance stack (else None).  The memo holds one group."""
     (noise_power,) = _noise_powers("snr_db", [snr_db])
-    return Scenario(config.layout(geometry_index), config.source_set(), noise_power,
-                    config.snapshots)
+    scenario = Scenario(config.layout(geometry_index), config.source_set(), noise_power,
+                        config.snapshots)
+    if not config.exact:
+        return scenario, None
+    positions = np.add.outer(scenario.layout.offsets, scenario.layout.base.positions)
+    exact = exact_covariance(positions, scenario.sources, noise_power)
+    _read_only(exact)
+    return scenario, exact
 
 
-@lru_cache(maxsize=1)
-def _draw(config: ExperimentConfig, snr_bits: int, trial_index: int,
-          geometry_index: int) -> _Draw:
-    """The keyed draw of one trial; the memo holds only the draw in flight.
-
-    The SNR enters the key as its bit pattern, as it does the substream key:
-    0.0 and -0.0 compare equal but seed different draws.
-    """
-    (snr_db,) = struct.unpack("<d", struct.pack("<Q", snr_bits))
-    scenario = _scenario(config, snr_db, geometry_index)
-    layout = scenario.layout
-    if config.exact:
-        positions = np.add.outer(layout.offsets, layout.base.positions)
-        covariances = exact_covariance(positions, scenario.sources, scenario.noise_power)
+def _check_identifiable(layout: TypeIILayout, n_sources: int, algorithm: str) -> None:
+    """Raise what every draw of ``algorithm`` on ``layout`` would raise."""
+    if algorithm == "gmusic":
+        _check_sources(n_sources, layout.base.n_sensors)
     else:
-        keys = trial_seed_sequence(config.seed, geometry_index, snr_db, trial_index)
-        batch = simulate_snapshots(scenario, rng=np.random.default_rng(keys))
-        covariances = sample_covariance(batch.matrices)
+        contiguous_half = difference_coarray(layout.base).contiguous_half
+        _check_sources(n_sources, _smoothing_window(contiguous_half))
+
+
+def _run_stages(config: ExperimentConfig, geometry_index: int, draws, algorithms) -> list:
+    """``algorithms`` on the keyed ``draws``, (SNR, trial index) pairs of one geometry:
+    one ``{algorithm: TrialResult}`` per draw, whose artifacts are views of the stacks.
+
+    Each draw is simulated on its own; from the ``(draws, L, N, N)`` stack of
+    their covariances on, every stage runs once.  The stacks are read-only.
+    """
+    covariances = []
+    for snr_db, trial_index in draws:
+        scenario, covariance = _scenario(config, snr_db, geometry_index)
+        if covariance is None:
+            keys = trial_seed_sequence(config.seed, geometry_index, snr_db, trial_index)
+            batch = simulate_snapshots(scenario, rng=np.random.default_rng(keys))
+            covariance = sample_covariance(batch.matrices)
+        covariances.append(covariance)
+    covariances = np.stack(covariances)
+    base, d = scenario.layout.base, scenario.sources.count
+    views = [((), (), ())] * len(draws)
+    stages, estimates = [], {}
+    names = [name for name in ("gca", "avca") if name in algorithms]
+    if names:
+        signal = covariance_to_coarray(covariances, base)
+        smoothed = spatial_smooth(signal)
+        s = signal_subspace(smoothed, d)
+        _read_only(signal.values, smoothed.root, s.signal_basis, s.noise_basis, s.eigenvalues)
+        views = [(tuple(CoarraySignal(signal.lags, v) for v in signal.values[row]),
+                  tuple(map(SmoothedCovariance, smoothed.root[row])),
+                  tuple(map(SubspaceDecomposition, s.signal_basis[row], s.noise_basis[row],
+                            s.eigenvalues[row])))
+                 for row in range(len(draws))]
+        stages.append((names, s.signal_basis, tuple(range(smoothed.window))))
+    if "gmusic" in algorithms:
+        stages.append((["gmusic"], signal_subspace(covariances, d).signal_basis, base.positions))
+    for names, bases, positions in stages:
+        rules = [_RULES[name] for name in names]
+        estimates.update(zip(names, _grid_estimates(rules, bases, positions, config.grid_size)))
     _read_only(covariances)
-    return _Draw(layout, scenario.sources, covariances)
+    grid, truth = grid_thetas(config.grid_size), scenario.sources.theta_array
+    results = [{} for _ in draws]
+    for name, (values, thetas, peak_values, degraded) in estimates.items():
+        for row, found in enumerate(results):
+            estimate = DoaEstimate(thetas[row], peak_values[row], bool(degraded[row]))
+            error = None
+            if not estimate.degraded:  # estimates and sources both ascend
+                error = float(np.sum((estimate.thetas - truth) ** 2))
+            coarray = views[row] if name != "gmusic" else ((), (), ())
+            artifacts = TrialArtifacts(tuple(covariances[row]), *coarray,
+                                       SpectrumGrid(grid, values[row]))
+            found[name] = TrialResult(estimate, error, artifacts)
+    return results
 
 
 def run_trial(
@@ -387,15 +426,14 @@ def run_trial(
 ) -> TrialResult:
     """Run one trial end to end and score it against the true directions.
 
-    Consecutive calls for the same draw (same config, SNR, trial and
-    geometry index; any algorithm) reuse its covariances and, for the
-    coarray algorithms, its subspaces.
+    Inside a sweep the trial is a row of the block of draws that ``sweep``
+    has in flight; any other call runs the same stages on a block of one draw.
 
     Returns a :class:`TrialResult` whose ``squared_error`` is ``None`` when
     the spectrum produced fewer peaks than sources (a degraded estimate).
-    Identifiability violations propagate as :class:`TooManySourcesError` or
-    :class:`DegenerateCoarrayError` so callers can distinguish "model cannot
-    work here" from "this noisy draw failed".
+    Identifiability violations raise :class:`TooManySourcesError` or
+    :class:`DegenerateCoarrayError` before anything is simulated, so callers
+    can distinguish "model cannot work here" from "this noisy draw failed".
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -404,77 +442,53 @@ def run_trial(
     (snr_db,) = _finite_reals("snr_db", [snr_db])
     if _integer("trial_index", trial_index) < 0:
         raise ValueError(f"'trial_index' must be at least 0, got {trial_index}")
-    draw = _draw(config, _snr_bits(snr_db), trial_index, geometry_index)
-    d = draw.sources.count
-
-    coarray_signals = smoothed = subspaces = ()
-    if algorithm == "gmusic":
-        spectrum, estimate = g_music(draw.covariances, draw.layout, d, grid_size=config.grid_size)
-    else:
-        coarray_signals, smoothed, subspaces = draw.coarray_stage
-        runner = gca_music if algorithm == "gca" else avca_music
-        spectrum, estimate = runner(subspaces, d, grid_size=config.grid_size)
-
-    if estimate.degraded:
-        squared_error = None
-    else:
-        truth = np.sort(draw.sources.theta_array)
-        squared_error = float(np.sum((np.sort(estimate.thetas) - truth) ** 2))
-    artifacts = TrialArtifacts(tuple(draw.covariances), coarray_signals, smoothed, subspaces,
-                               spectrum)
-    return TrialResult(estimate, squared_error, artifacts)
+    result = _installed.get((config, geometry_index, _snr_bits(snr_db), trial_index, algorithm))
+    if result is None:
+        scenario, _ = _scenario(config, snr_db, geometry_index)
+        _check_identifiable(scenario.layout, config.n_sources, algorithm)
+        (found,) = _run_stages(config, geometry_index, [(snr_db, trial_index)], [algorithm])
+        result = found[algorithm]
+    return result
 
 
-def _run_group(config: ExperimentConfig, group) -> list[RmseCurve]:
-    """All trials at one (geometry index, SNR index) point: a row per algorithm.
-
-    Each trial runs every algorithm back to back, so all of them read the
-    draw that ``run_trial`` memoised for the first.
-    """
-    geometry_index, snr_index = group
-    snr_db = config.snr_db_list[snr_index]
-    _draw.cache_clear()  # a sweep reuses no draw from earlier calls
-    errors = [[] for _ in config.algorithms]
-    failures = [0] * len(config.algorithms)
-    for trial_index in range(config.trials):
-        for position, algorithm in enumerate(config.algorithms):
-            try:
-                result = run_trial(config, snr_db, algorithm, trial_index, geometry_index)
-            except (TooManySourcesError, DegenerateCoarrayError):
-                failures[position] += 1
-                continue
-            if result.failed:
-                failures[position] += 1
-            else:
-                errors[position].append(result.squared_error)
-    label = config.geometries[geometry_index].label
-    return [
-        RmseCurve(
-            geometry=label,
-            algorithm=algorithm,
-            snr_db=snr_db,
-            trials=config.trials,
-            failures=failures[position],
-            rmse=rmse(errors[position], config.n_sources),
-        )
-        for position, algorithm in enumerate(config.algorithms)
-    ]
+def _run_block(config: ExperimentConfig, task) -> list:
+    """One block of one geometry's draws: ``((geometry, position, SNR index), squared
+    error)`` per trial and algorithm position, from one ``run_trial`` call each."""
+    geometry_index, positions, draws = task
+    keyed = [(config.snr_db_list[si], trial_index) for si, trial_index in draws]
+    algorithms = {config.algorithms[position] for position in positions}
+    results = _run_stages(config, geometry_index, keyed, algorithms)
+    try:
+        for found, (snr_db, trial_index) in zip(results, keyed):
+            for algorithm in algorithms:
+                key = (config, geometry_index, _snr_bits(snr_db), trial_index, algorithm)
+                _installed[key] = found[algorithm]
+        return [((geometry_index, position, si),
+                 run_trial(config, snr_db, config.algorithms[position], trial_index,
+                           geometry_index).squared_error)
+                for (si, _), (snr_db, trial_index) in zip(draws, keyed) for position in positions]
+    finally:
+        _installed.clear()
 
 
 def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[RmseCurve]:
     """Run every (geometry, algorithm, SNR) cell of the config.
 
-    The sweep walks (geometry, SNR) groups.  Within a group each trial's
-    draw is simulated and decomposed once and shared by every algorithm, so
-    matched trials see identical data.  Groups are independent, so
-    ``workers`` spreads them over processes without changing any number:
-    each trial's randomness is keyed by its coordinates alone.  Results
-    come back in config order (geometry, then algorithm, then SNR), one row
-    per position, so repeated labels, algorithms or SNRs each keep their
-    own row.  Every geometry is built before ``out_path`` is checked, so one
-    that cannot be built fails before any trial and leaves an existing file
-    as it was; a bad path also fails before any trial.  The file is written
-    only once every row is ready, so a failed sweep leaves it as it was too.
+    The sweep walks each geometry's draws in (SNR, trial) order, in blocks of
+    at most ``_BLOCK_VALUES // (L * grid_size)`` draws, so a block may span
+    SNRs.  Each draw is simulated once and every later stage runs once per
+    block; every algorithm reads the same draw, so matched trials see
+    identical data.  An algorithm that cannot identify the sources on a
+    geometry is found before anything is simulated, and its cells report
+    every trial failed.  Blocks are independent, so ``workers`` spreads them
+    over processes without changing any number: each trial's randomness is
+    keyed by its coordinates alone.  Results come back in config order
+    (geometry, then algorithm, then SNR), one row per position, so repeated
+    labels, algorithms or SNRs each keep their own row.  Every geometry is
+    built before ``out_path`` is checked, so one that cannot be built fails
+    before any trial and leaves an existing file as it was; a bad path also
+    fails before any trial.  The file is written only once every row is
+    ready, so a failed sweep leaves it as it was too.
 
     Args:
         config: experiment description.
@@ -485,28 +499,42 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
     Returns:
         One :class:`RmseCurve` per cell.
     """
-    geometry_indices = range(len(config.geometries))
-    snr_indices = range(len(config.snr_db_list))
-    groups = [(gi, si) for gi in geometry_indices for si in snr_indices]
     if _integer("workers", workers) < 1:
         raise ValueError(f"'workers' must be at least 1, got {workers}")
-    for gi in geometry_indices:
-        _named("geometries", config.layout, gi)
+    layouts = [_named("geometries", config.layout, gi) for gi in range(len(config.geometries))]
     if out_path is not None:
         open(out_path, "a").close()
-    runner = partial(_run_group, config)
+    size = max(1, _BLOCK_VALUES // (config.n_subarrays * config.grid_size))
+    draws = [(si, t) for si in range(len(config.snr_db_list)) for t in range(config.trials)]
+    cells = {}
+    tasks = []
+    for gi, layout in enumerate(layouts):
+        positions = []
+        for position, algorithm in enumerate(config.algorithms):
+            for si in range(len(config.snr_db_list)):
+                cells[gi, position, si] = []
+            try:
+                _check_identifiable(layout, config.n_sources, algorithm)
+                positions.append(position)
+            except (TooManySourcesError, DegenerateCoarrayError):
+                pass
+        if positions:
+            tasks += [(gi, positions, draws[i : i + size]) for i in range(0, len(draws), size)]
+    runner = partial(_run_block, config)
     if workers == 1:
-        rows = [runner(group) for group in groups]
+        outcomes = [runner(task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # off the import path: ~15 ms
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(runner, groups))
-    by_group = dict(zip(groups, rows))
+            outcomes = list(pool.map(runner, tasks))
+    for cell, error in (item for outcome in outcomes for item in outcome):
+        if error is not None:
+            cells[cell].append(error)
     curves = [
-        by_group[gi, si][position]
-        for gi in geometry_indices
-        for position in range(len(config.algorithms))
-        for si in snr_indices
+        RmseCurve(config.geometries[gi].label, config.algorithms[position],
+                  config.snr_db_list[si], config.trials, config.trials - len(errors),
+                  rmse(errors, config.n_sources))
+        for (gi, position, si), errors in cells.items()
     ]
     if out_path is not None:
         with open(out_path, "w", newline="") as handle:

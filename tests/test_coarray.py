@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from sparsedoa import harness
 from sparsedoa.cli import main
 from sparsedoa.coarray import (
     _fix_vector_phases,
@@ -237,7 +236,6 @@ class TestSignalSubspace:
                                       "thetas": [-0.4, 0.1, 0.6], "exact": True}))
         dumps = []
         for name in ("first", "second"):
-            harness._draw.cache_clear()
             path = tmp_path / f"{name}.npz"
             assert main(["run", "--config", str(config), "--algorithm", "gca",
                          "--dump-intermediates", str(path)]) == 0

@@ -1,7 +1,5 @@
 """Spectra, the merged projector, and peak picking."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +15,7 @@ from sparsedoa.estimators import (
     _deficits,
     _local_maxima,
     _parabolic_offsets,
+    _peaks,
     _trig_table,
     avca_music,
     avca_spectrum,
@@ -373,15 +372,46 @@ def tie_prone_arrays(min_size):
     return st.lists(tie_prone_floats, min_size=min_size, max_size=60).map(np.array)
 
 
+def reference_find_peaks(values, thetas, n_sources, refine):
+    """Oracle: the one-row rule of ``find_peaks``, with the slope reference for its maxima."""
+    peaks = reference_local_maxima(values)
+    degraded = peaks.size < n_sources
+    candidates = np.arange(values.size) if degraded else peaks
+    ranked = candidates[np.argsort(-values[candidates], kind="stable")]
+    chosen = np.sort(ranked[:n_sources])
+    estimates = thetas[chosen]
+    if refine and not degraded:
+        offsets = _parabolic_offsets(values[chosen - 1], values[chosen], values[chosen + 1])
+        estimates = estimates + (thetas[1] - thetas[0]) * offsets
+    return estimates, values[chosen], degraded
+
+
+def tie_prone_stacks():
+    """1 to 6 rows of one length from 3 to 40."""
+    return st.integers(3, 40).flatmap(lambda n: st.lists(
+        st.lists(tie_prone_floats, min_size=n, max_size=n), min_size=1, max_size=6
+    )).map(np.array)
+
+
 class TestLocalMaximaProperties:
     @settings(max_examples=500, deadline=None)
     @given(tie_prone_arrays(min_size=1))
     def test_matches_the_slope_reference(self, values):
         with np.errstate(invalid="ignore"):
-            found = _local_maxima(values)
+            rows, found = _local_maxima(values[None])
             expected = reference_local_maxima(values)
         assert found.dtype == expected.dtype
         assert np.array_equal(found, expected)
+        assert not rows.any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_prone_stacks())
+    def test_rows_match_the_slope_reference_one_by_one(self, values):
+        with np.errstate(invalid="ignore"):
+            rows, cols = _local_maxima(values)
+            expected = [reference_local_maxima(row) for row in values]
+        assert np.array_equal(rows, np.repeat(np.arange(len(values)), list(map(len, expected))))
+        assert np.array_equal(cols, np.concatenate(expected))
 
     @settings(max_examples=300, deadline=None)
     @given(tie_prone_arrays(min_size=3), st.integers(1, 4), st.booleans())
@@ -389,11 +419,22 @@ class TestLocalMaximaProperties:
         spectrum = SpectrumGrid(np.linspace(-1.0, 1.0, values.size), values)
         with np.errstate(all="ignore"):
             found = find_peaks(spectrum, n_sources, refine=refine)
-            with mock.patch.object(estimators, "_local_maxima", reference_local_maxima):
-                expected = find_peaks(spectrum, n_sources, refine=refine)
-        assert np.array_equal(found.thetas, expected.thetas, equal_nan=True)
-        assert np.array_equal(found.peak_values, expected.peak_values, equal_nan=True)
-        assert found.degraded == expected.degraded
+            thetas, peak_values, degraded = reference_find_peaks(
+                values, spectrum.thetas, n_sources, refine)
+        assert np.array_equal(found.thetas, thetas, equal_nan=True)
+        assert np.array_equal(found.peak_values, peak_values, equal_nan=True)
+        assert found.degraded is degraded
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_prone_stacks(), st.integers(1, 4), st.booleans())
+    def test_stacked_peaks_match_the_reference_row_by_row(self, values, n_sources, refine):
+        """Plateaus, NaNs, ties and degraded rows mixed in one stack."""
+        thetas = np.linspace(-1.0, 1.0, values.shape[1])
+        with np.errstate(all="ignore"):
+            found = _peaks(values, thetas, n_sources, refine)
+            expected = [reference_find_peaks(row, thetas, n_sources, refine) for row in values]
+        for part, reference in zip(found, zip(*expected)):
+            assert np.array_equal(part, np.array(reference), equal_nan=True)
 
 
 class TestDenominatorFloor:

@@ -5,13 +5,14 @@ import dataclasses
 import gc
 import json
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsedoa import harness
+from sparsedoa import estimators, harness
 from sparsedoa.coarray import covariance_to_coarray, signal_subspace, spatial_smooth
 from sparsedoa.errors import DegenerateCoarrayError, TooManySourcesError
 from sparsedoa.estimators import avca_music, g_music, gca_music
@@ -32,6 +33,10 @@ from sparsedoa.sigmodel import (
     sample_covariance,
     simulate_snapshots,
 )
+
+
+#: Draws per block of a sweep at L = 3 and the default grid of 2001 points.
+BLOCK = harness._BLOCK_VALUES // (3 * 2001)
 
 
 def small_config(**overrides):
@@ -337,7 +342,6 @@ class TestRunTrial:
     def test_the_snr_floor_runs_without_overflow(self, geometry, snapshots):
         config = small_config(geometries=(geometry,), thetas=(-0.5, 0.0, 0.5),
                               snapshots=snapshots, snr_db_list=(-1500.0,))
-        harness._draw.cache_clear()
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             for algorithm in ("gca", "gmusic", "avca"):
@@ -389,7 +393,6 @@ class TestRunTrial:
         assert artifacts.spectrum.values.size == config.grid_size
 
     def test_trials_never_build_the_smoothed_matrix(self):
-        harness._draw.cache_clear()  # a draw memoised by another test may hold a built one
         artifacts = run_trial(small_config(), 10.0, "gca", 0).artifacts
         assert all("matrix" not in vars(s) for s in artifacts.smoothed)
 
@@ -480,11 +483,15 @@ class TestDrawSharing:
         return calls
 
     def test_each_draw_is_simulated_and_decomposed_once(self, counters):
+        """Each draw is simulated once; each block makes one coarray and one physical
+        decomposition for all its draws."""
         config = small_config(algorithms=("gca", "gmusic", "avca"),
-                              snr_db_list=(0.0, 10.0), trials=2)
+                              snr_db_list=(0.0, 10.0), trials=BLOCK - 1)
         curves = sweep(config)
         draws = len(config.snr_db_list) * config.trials
-        assert counters == {"simulate": draws, "subspace": draws}
+        blocks = -(-draws // BLOCK)
+        assert blocks == 2
+        assert counters == {"simulate": draws, "subspace": 2 * blocks}
         assert curves == cell_references(config)
 
     def test_repeated_sweeps_reuse_nothing(self, counters):
@@ -493,7 +500,6 @@ class TestDrawSharing:
         assert counters["simulate"] == 2
 
     def test_a_cold_trial_simulates_only_its_own_draw(self, counters):
-        harness._draw.cache_clear()
         harness._scenario.cache_clear()
         run_trial(small_config(trials=200), 10.0, "gca", 7)
         assert counters["simulate"] == 1
@@ -531,16 +537,87 @@ class TestDrawSharing:
         assert curves[0].rmse != curves[1].rmse
 
 
+class TestBlocks:
+    """A sweep runs each geometry's draws in blocks; no row may depend on where they split."""
+
+    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rows_equal_the_one_draw_path(self, trials, exact):
+        config = small_config(geometries=("ula-7", "naq2-4-3", "ula-7"),
+                              algorithms=harness.ALGORITHMS, trials=trials, exact=exact)
+        assert sweep(config) == cell_references(config)
+
+    def test_blocks_spanning_signed_zero_and_repeated_snrs(self):
+        config = small_config(algorithms=("avca", "gmusic", "gca", "avca"),
+                              snr_db_list=(0.0, -0.0, 10.0, 0.0), trials=BLOCK // 2 + 1)
+        curves = sweep(config)
+        assert curves == cell_references(config)
+        assert curves == sweep(config, workers=2)
+        assert curves[0] == curves[3] and curves[0].rmse != curves[1].rmse
+
+    def test_exact_covariances_are_built_once_per_geometry_and_snr(self, monkeypatch):
+        calls = []
+        exact_covariance = harness.exact_covariance
+        monkeypatch.setattr(harness, "exact_covariance",
+                            lambda *args: calls.append(args) or exact_covariance(*args))
+        config = small_config(exact=True, algorithms=harness.ALGORITHMS,
+                              snr_db_list=(0.0, 10.0), trials=2 * BLOCK + 3)
+        sweep(config)
+        assert len(calls) == 2
+
+    def test_unidentifiable_cells_simulate_nothing(self, monkeypatch):
+        simulated = []
+        simulate = harness.simulate_snapshots
+        monkeypatch.setattr(harness, "simulate_snapshots",
+                            lambda *args, **kw: simulated.append(1) or simulate(*args, **kw))
+        seven = tuple(np.linspace(-0.8, 0.8, 7))  # as many sources as naq2-4-3 has sensors
+        (curve,) = sweep(small_config(thetas=seven, algorithms=("gmusic",), trials=3))
+        assert simulated == []
+        assert (curve.failures, curve.rmse) == (3, RMSE_SENTINEL)
+        # ula-1 has no coarray lag beyond 0; gca still runs on naq2-4-3.
+        config = small_config(geometries=("ula-1", "naq2-4-3"), thetas=seven,
+                              algorithms=harness.ALGORITHMS, trials=3)
+        curves = sweep(config)
+        assert len(simulated) == 3
+        assert [c.failures for c in curves] == [3, 3, 3, 0, 3, 0]
+        with pytest.raises(DegenerateCoarrayError):
+            run_trial(config, 10.0, "gca", 0, 0)
+        with pytest.raises(TooManySourcesError):
+            run_trial(config, 10.0, "gmusic", 0, 1)
+        assert len(simulated) == 3
+
+    def test_gca_and_avca_share_one_deficit_stack_per_block(self, monkeypatch):
+        calls = []
+        deficits = estimators._deficits
+        monkeypatch.setattr(estimators, "_deficits",
+                            lambda *args: calls.append(1) or deficits(*args))
+        sweep(small_config(algorithms=("gca", "avca"), trials=BLOCK + 1))
+        assert len(calls) == 2
+
+    def test_peak_memory_does_not_grow_with_the_trial_count(self):
+        config = small_config(algorithms=harness.ALGORITHMS, snr_db_list=(0.0,))
+        sweep(dataclasses.replace(config, trials=2))  # fill the caches
+        peaks = []
+        for trials in (20, 200):
+            tracemalloc.start()
+            try:
+                sweep(dataclasses.replace(config, trials=trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
 class TestSweep:
     def test_unbuildable_geometry_fails_before_any_trial(self, monkeypatch, tmp_path):
         groups = []
-        run_group = harness._run_group
+        run_block = harness._run_block
 
-        def recorded(config, group):
-            groups.append(group)
-            return run_group(config, group)
+        def recorded(config, task):
+            groups.append(task)
+            return run_block(config, task)
 
-        monkeypatch.setattr(harness, "_run_group", recorded)
+        monkeypatch.setattr(harness, "_run_block", recorded)
         out = tmp_path / "curves.csv"
         out.write_bytes(b"previous results\n")
         config = small_config(geometries=("ula-7", "mra-11"), trials=1)
@@ -552,7 +629,7 @@ class TestSweep:
     @pytest.mark.parametrize("workers", [2.5, "2", None, True, 0, -1])
     def test_bad_workers_fail_before_any_trial(self, monkeypatch, tmp_path, workers):
         groups = []
-        monkeypatch.setattr(harness, "_run_group", lambda config, group: groups.append(group))
+        monkeypatch.setattr(harness, "_run_block", lambda config, task: groups.append(task))
         out = tmp_path / "curves.csv"
         out.write_bytes(b"previous results\n")
         with pytest.raises(ValueError, match="'workers'"):
@@ -614,20 +691,20 @@ class TestSweep:
         assert curve.rmse == RMSE_SENTINEL
 
     def test_failed_sweep_keeps_an_existing_file(self, monkeypatch, tmp_path):
-        run_group = harness._run_group
+        run_block = harness._run_block
         groups = []
 
-        def second_group_fails(config, group):
-            groups.append(group)
+        def second_block_fails(config, task):
+            groups.append(task)
             if len(groups) == 2:
                 raise KeyboardInterrupt
-            return run_group(config, group)
+            return run_block(config, task)
 
-        monkeypatch.setattr(harness, "_run_group", second_group_fails)
+        monkeypatch.setattr(harness, "_run_block", second_block_fails)
         out = tmp_path / "curves.csv"
         out.write_bytes(b"previous results\n")
         with pytest.raises(KeyboardInterrupt):
-            sweep(small_config(snr_db_list=(0.0, 10.0), trials=1), out_path=out)
+            sweep(small_config(snr_db_list=(0.0, 10.0), trials=BLOCK), out_path=out)
         assert len(groups) == 2
         assert out.read_bytes() == b"previous results\n"
 
