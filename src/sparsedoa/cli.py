@@ -54,18 +54,16 @@ def _dump_spectrum(spectrum, path) -> None:
 
 def _dump_intermediates(artifacts, estimate, path) -> None:
     arrays = {
-        "covariances": np.stack(artifacts.covariances),
+        "covariances": artifacts.covariances,
         "spectrum_thetas": artifacts.spectrum.thetas,
         "spectrum_values": artifacts.spectrum.values,
         "estimates": estimate.thetas,
     }
-    if artifacts.coarray_signals:
-        arrays["coarray_lags"] = np.array(artifacts.coarray_signals[0].lags)
-        arrays["coarray_values"] = np.stack([s.values for s in artifacts.coarray_signals])
-        arrays["smoothed"] = np.stack([s.matrix for s in artifacts.smoothed])
-        bases = [_fix_vector_phases(s.signal_basis) for s in artifacts.subspaces]
-        arrays["signal_bases"] = np.stack(bases)
-        arrays["eigenvalues"] = np.stack([s.eigenvalues for s in artifacts.subspaces])
+    if artifacts.subspaces is not None:  # each an (L, ...) stack over the subarrays
+        signal, s = artifacts.coarray_signals, artifacts.subspaces
+        arrays.update(coarray_lags=np.array(signal.lags), coarray_values=signal.values,
+                      smoothed=artifacts.smoothed.matrix,
+                      signal_bases=_fix_vector_phases(s.signal_basis), eigenvalues=s.eigenvalues)
     np.savez(path, **arrays)
 
 

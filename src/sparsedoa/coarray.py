@@ -46,8 +46,9 @@ class CoarraySignal:
     def contiguous_half(self) -> int:
         return _contiguous_half(set(self.lags))
 
-    def value_at(self, lag: int) -> complex:
-        return complex(self.values[self.lags.index(int(lag))])
+    def value_at(self, lag: int) -> complex | np.ndarray:
+        """The value at ``lag``: a scalar, or an array of one per signal of a stack."""
+        return self.values[..., self.lags.index(int(lag))]
 
     def central_values(self) -> np.ndarray:
         """Values on the contiguous center, lags ascending from -c to c."""
@@ -173,10 +174,10 @@ class SubspaceDecomposition:
 
 
 def _fix_vector_phases(vectors: np.ndarray) -> np.ndarray:
+    """Make each column's first non-negligible entry real positive, on a (..., n, D) stack."""
     magnitudes = np.abs(vectors)
-    anchors = np.argmax(magnitudes > 1e-12 * magnitudes.max(axis=0), axis=0)
-    columns = np.arange(vectors.shape[1])
-    phases = vectors[anchors, columns] / magnitudes[anchors, columns]
+    anchors = np.argmax(magnitudes > 1e-12 * magnitudes.max(-2, keepdims=True), -2)[..., None, :]
+    phases = np.take_along_axis(vectors, anchors, -2) / np.take_along_axis(magnitudes, anchors, -2)
     return vectors * np.conj(phases)
 
 

@@ -2,7 +2,9 @@
 
 All estimators score candidate directions on a uniform grid over [-1, 1) by
 how close a steering vector comes to the span of per-subarray signal
-subspaces, then read off the largest spectrum peaks.
+subspaces, then read off the largest spectrum peaks.  Those subspaces come as
+one :class:`SubspaceDecomposition` stacked over the L subarrays, its
+``signal_basis`` ``(L, M, D)``, as :func:`signal_subspace` returns it.
 
 One residual kernel serves them all: the projection deficit
 ``|a|^2 - |U^H a|^2`` of the steering vector ``a`` at integer positions ``p``
@@ -39,7 +41,6 @@ from functools import lru_cache
 import numpy as np
 
 from .coarray import signal_subspace
-from .errors import TooManySourcesError
 from .geometry import TypeIILayout, _lag_plan
 
 __all__ = [
@@ -137,16 +138,12 @@ def _cached_table(max_lag: int, grid_size: int) -> np.ndarray:
     return table
 
 
-def _check_subspaces(subspaces) -> tuple[list[np.ndarray], int]:
-    """The decompositions' signal bases, and their common virtual array size."""
-    subspaces = tuple(subspaces)
-    if not subspaces:
-        raise ValueError("need at least one subarray decomposition")
-    dims = {s.dimension for s in subspaces}
-    counts = {s.n_sources for s in subspaces}
-    if len(dims) != 1 or len(counts) != 1:
-        raise ValueError("subarray decompositions disagree on dimensions")
-    return [s.signal_basis for s in subspaces], dims.pop()
+def _stacked_bases(subspaces) -> np.ndarray:
+    """The ``(L, M, D)`` signal bases of a decomposition stacked over ``L >= 1`` subarrays."""
+    bases = np.asarray(getattr(subspaces, "signal_basis", None))
+    if bases.ndim != 3 or len(bases) == 0:
+        raise ValueError("need one SubspaceDecomposition stacked over at least one subarray")
+    return bases
 
 
 def _deficits(bases, positions: tuple[int, ...], table: np.ndarray) -> np.ndarray:
@@ -180,9 +177,9 @@ def _averaged(deficits: np.ndarray) -> np.ndarray:
 
 
 def _coarray_spectrum(rule, subspaces, thetas) -> np.ndarray:
-    bases, m = _check_subspaces(subspaces)
+    m = _stacked_bases(subspaces).shape[-2]
     table = _trig_table(m - 1, np.asarray(thetas, dtype=np.float64))
-    return rule(_deficits(bases, tuple(range(m)), table))
+    return rule(_deficits(subspaces.signal_basis, tuple(range(m)), table))
 
 
 def _grid_estimates(rules, bases: np.ndarray, positions, grid_size: int, refine: bool = True):
@@ -198,20 +195,15 @@ def _grid_estimates(rules, bases: np.ndarray, positions, grid_size: int, refine:
             for values in (rule(deficits) for rule in rules)]
 
 
-def _music(rule, bases, positions, n_sources, grid_size, refine):
-    """Grid spectrum by ``rule`` of ``bases``, checked against ``n_sources``, and its peaks."""
-    d = bases[0].shape[1]
-    if n_sources is not None and n_sources != d:
-        raise ValueError(f"decompositions hold {d} sources, caller expects {n_sources}")
+def _music(rule, subspaces, n_sources, grid_size, refine, positions=None):
+    """Grid spectrum by ``rule`` of stacked ``subspaces`` on ``positions`` (else 0..M-1)."""
+    bases = _stacked_bases(subspaces)
+    if n_sources is not None and n_sources != bases.shape[-1]:
+        raise ValueError(f"decomposition holds {bases.shape[-1]} sources, not {n_sources}")
     ((values, thetas, peak_values, degraded),) = _grid_estimates(
-        [rule], np.asarray(bases)[None], positions, grid_size, refine)
+        [rule], bases[None], positions or tuple(range(bases.shape[-2])), grid_size, refine)
     spectrum = SpectrumGrid(grid_thetas(grid_size), values[0])
     return spectrum, DoaEstimate(thetas[0], peak_values[0], bool(degraded[0]))
-
-
-def _coarray_music(rule, subspaces, n_sources, grid_size, refine):
-    bases, m = _check_subspaces(subspaces)
-    return _music(rule, bases, tuple(range(m)), n_sources, grid_size, refine)
 
 
 def gca_spectrum(subspaces, thetas) -> np.ndarray:
@@ -220,13 +212,13 @@ def gca_spectrum(subspaces, thetas) -> np.ndarray:
     The value at ``theta`` is ``1 / (b^H (I - P) b)`` where P is the merged
     block projector and b stacks one virtual steering vector per subarray;
     with identical virtual arrays this is the reciprocal of the summed
-    per-subarray projection deficits.
+    per-subarray projection deficits.  ``subspaces`` is stacked as for :func:`gca_music`.
     """
     return _coarray_spectrum(_merged, subspaces, thetas)
 
 
 def avca_spectrum(subspaces, thetas) -> np.ndarray:
-    """Average of the per-subarray reciprocal coarray spectra."""
+    """Average of the per-subarray reciprocal coarray spectra of stacked ``subspaces``."""
     return _coarray_spectrum(_averaged, subspaces, thetas)
 
 
@@ -239,16 +231,17 @@ def gca_music(
     """Merged-coarray MUSIC over all subarrays.
 
     Args:
-        subspaces: one :class:`SubspaceDecomposition` per subarray, all on
-            the same virtual array and built for the same source count.
-        n_sources: optional cross-check against the decompositions.
+        subspaces: one :class:`SubspaceDecomposition` stacked over the L subarrays,
+            its ``signal_basis`` ``(L, M, D)`` on virtual positions 0..M-1; anything
+            else, such as a list of per-subarray decompositions, raises ValueError.
+        n_sources: optional cross-check against the decomposition (ValueError).
         grid_size: number of grid points over [-1, 1).
         refine: parabolically interpolate peak locations off the grid.
 
     Returns:
         ``(SpectrumGrid, DoaEstimate)``.
     """
-    return _coarray_music(_merged, subspaces, n_sources, grid_size, refine)
+    return _music(_merged, subspaces, n_sources, grid_size, refine)
 
 
 def avca_music(
@@ -257,8 +250,8 @@ def avca_music(
     grid_size: int = 2001,
     refine: bool = True,
 ) -> tuple[SpectrumGrid, DoaEstimate]:
-    """Average-coarray MUSIC: mean of the per-subarray reciprocal spectra."""
-    return _coarray_music(_averaged, subspaces, n_sources, grid_size, refine)
+    """Average-coarray MUSIC: mean of the per-subarray reciprocal spectra (as gca_music)."""
+    return _music(_averaged, subspaces, n_sources, grid_size, refine)
 
 
 def g_music(
@@ -276,19 +269,14 @@ def g_music(
     ``n_sensors`` tall, the source count must stay below the per-subarray sensor count.
 
     Raises:
+        ValueError: unless ``covariances`` is the layout's ``(L, N, N)`` stack.
         TooManySourcesError: if ``n_sources >= layout.base.n_sensors``.
     """
-    n = layout.base.n_sensors
-    if n_sources >= n:
-        raise TooManySourcesError(
-            f"physical-domain processing identifies at most {n - 1} sources "
-            f"with {n}-sensor subarrays, got {n_sources}"
-        )
-    covariances = np.asarray(covariances)
-    if covariances.ndim != 3 or len(covariances) != layout.n_subarrays:
-        raise ValueError("one covariance per subarray required")
-    bases = signal_subspace(covariances, n_sources).signal_basis
-    return _music(_merged, bases, layout.base.positions, n_sources, grid_size, refine)
+    n, covariances = layout.base.n_sensors, np.asarray(covariances)
+    if covariances.shape != (layout.n_subarrays, n, n):
+        raise ValueError(f"need one {n} x {n} covariance per subarray, got {covariances.shape}")
+    subspaces = signal_subspace(covariances, n_sources)
+    return _music(_merged, subspaces, n_sources, grid_size, refine, layout.base.positions)
 
 
 def _local_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -193,8 +193,7 @@ class ExperimentConfig:
     exact: bool = False
 
     def __post_init__(self):
-        # The config keys the draw memo, so every field is checked and
-        # normalised to a plain hashable value here.
+        # ``_scenario`` and ``_installed`` key on the config: normalise every field to a hashable.
         geometries = _sequence("geometries", self.geometries)
         object.__setattr__(self, "geometries", tuple(
             g if isinstance(g, GeometrySpec) else _named("geometries", GeometrySpec, g)
@@ -265,12 +264,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialArtifacts:
-    """Intermediate products of one trial, for inspection and dumping."""
+    """Intermediate products of one trial: read-only records stacked over the L subarrays,
+    as the stages return them; ``gmusic`` has no coarray records (None)."""
 
-    covariances: tuple[np.ndarray, ...]
-    coarray_signals: tuple
-    smoothed: tuple
-    subspaces: tuple
+    covariances: np.ndarray
+    coarray_signals: CoarraySignal | None
+    smoothed: SmoothedCovariance | None
+    subspaces: SubspaceDecomposition | None
     spectrum: SpectrumGrid
 
 
@@ -367,7 +367,7 @@ def _check_identifiable(layout: TypeIILayout, n_sources: int, algorithm: str) ->
 
 def _run_stages(config: ExperimentConfig, geometry_index: int, draws, algorithms) -> list:
     """``algorithms`` on the keyed ``draws``, (SNR, trial index) pairs of one geometry:
-    one ``{algorithm: TrialResult}`` per draw, whose artifacts are views of the stacks.
+    one ``{algorithm: TrialResult}`` per draw, whose artifacts are its rows of the stacks.
 
     Each draw is simulated on its own; from the ``(draws, L, N, N)`` stack of
     their covariances on, every stage runs once.  The stacks are read-only.
@@ -382,7 +382,7 @@ def _run_stages(config: ExperimentConfig, geometry_index: int, draws, algorithms
         covariances.append(covariance)
     covariances = np.stack(covariances)
     base, d = scenario.layout.base, scenario.sources.count
-    views = [((), (), ())] * len(draws)
+    views = [(None,) * 3] * len(draws)
     stages, estimates = [], {}
     names = [name for name in ("gca", "avca") if name in algorithms]
     if names:
@@ -390,11 +390,9 @@ def _run_stages(config: ExperimentConfig, geometry_index: int, draws, algorithms
         smoothed = spatial_smooth(signal)
         s = signal_subspace(smoothed, d)
         _read_only(signal.values, smoothed.root, s.signal_basis, s.noise_basis, s.eigenvalues)
-        views = [(tuple(CoarraySignal(signal.lags, v) for v in signal.values[row]),
-                  tuple(map(SmoothedCovariance, smoothed.root[row])),
-                  tuple(map(SubspaceDecomposition, s.signal_basis[row], s.noise_basis[row],
-                            s.eigenvalues[row])))
-                 for row in range(len(draws))]
+        views = [(CoarraySignal(signal.lags, v), SmoothedCovariance(r), SubspaceDecomposition(*u))
+                 for v, r, *u in zip(signal.values, smoothed.root, s.signal_basis,
+                                     s.noise_basis, s.eigenvalues)]
         stages.append((names, s.signal_basis, tuple(range(smoothed.window))))
     if "gmusic" in algorithms:
         stages.append((["gmusic"], signal_subspace(covariances, d).signal_basis, base.positions))
@@ -410,9 +408,8 @@ def _run_stages(config: ExperimentConfig, geometry_index: int, draws, algorithms
             error = None
             if not estimate.degraded:  # estimates and sources both ascend
                 error = float(np.sum((estimate.thetas - truth) ** 2))
-            coarray = views[row] if name != "gmusic" else ((), (), ())
-            artifacts = TrialArtifacts(tuple(covariances[row]), *coarray,
-                                       SpectrumGrid(grid, values[row]))
+            coarray = views[row] if name != "gmusic" else (None,) * 3
+            artifacts = TrialArtifacts(covariances[row], *coarray, SpectrumGrid(grid, values[row]))
             found[name] = TrialResult(estimate, error, artifacts)
     return results
 

@@ -67,10 +67,8 @@ def exact_subspaces(thetas, noise_power=1.0):
     base = build_nested2(4, 3)
     layout = compose_type2(base, 3, 1)
     sources = SourceSet.equal_power(thetas)
-    subspaces = []
-    for l in range(3):
-        r = exact_covariance(layout.subarray_positions(l), sources, noise_power)
-        subspaces.append(signal_subspace(spatial_smooth(covariance_to_coarray(r, base)), sources.count))
+    r = exact_covariance(np.add.outer(layout.offsets, base.positions), sources, noise_power)
+    subspaces = signal_subspace(spatial_smooth(covariance_to_coarray(r, base)), sources.count)
     return layout, sources, subspaces
 
 
@@ -196,7 +194,7 @@ def test_invariant_suite(report):
 
         # Block projector: idempotent, rank L*D.
         _, _, subspaces = exact_subspaces(SIX_SOURCES)
-        projector = MergedProjector(tuple(s.signal_basis for s in subspaces))
+        projector = MergedProjector(tuple(subspaces.signal_basis))
         p = projector.matrix()
         assert np.linalg.norm(p @ p - p) <= 1e-8
         assert projector.rank == 18
@@ -221,11 +219,8 @@ def test_invariant_suite(report):
         for tag, phases in {"a": (0.0, 1.0, 2.0), "b": (2.5, 0.7, 5.1)}.items():
             batch = simulate_snapshots(scenario, rng=np.random.default_rng(11),
                                        phases=np.array(phases))
-            covariances = [sample_covariance(m) for m in batch.matrices]
-            decs = [
-                signal_subspace(spatial_smooth(covariance_to_coarray(r, base)), 6)
-                for r in covariances
-            ]
+            covariances = sample_covariance(batch.matrices)
+            decs = signal_subspace(spatial_smooth(covariance_to_coarray(covariances, base)), 6)
             estimates[tag] = {
                 "cov": covariances,
                 "snapped": gca_music(decs, 6, refine=False)[1].thetas,
@@ -285,6 +280,6 @@ def test_smoothing_window_count(report):
             ),
             0.0, "gca", 0,
         )
-        for smoothed in result.artifacts.smoothed:
-            assert smoothed.window == 15
-            assert smoothed.matrix.shape == (15, 15)
+        smoothed = result.artifacts.smoothed
+        assert smoothed.window == 15
+        assert smoothed.matrix.shape == (3, 15, 15)  # one per subarray

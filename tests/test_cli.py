@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,16 @@ import pytest
 import sparsedoa
 from sparsedoa import geometry, harness
 from sparsedoa.cli import build_parser, main
+from sparsedoa.coarray import (
+    _fix_vector_phases,
+    covariance_to_coarray,
+    signal_subspace,
+    spatial_smooth,
+)
+from sparsedoa.estimators import avca_music, gca_music
+from sparsedoa.harness import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -139,6 +150,35 @@ class TestRunCommand:
         for key in coarray | {"covariances"}:
             assert np.array_equal(dumps["avca"][key], dumps["gca"][key])
         assert np.array_equal(dumps["gmusic"]["covariances"], dumps["gca"]["covariances"])
+
+    @pytest.mark.parametrize("algorithm,music", [("gca", gca_music), ("avca", avca_music)])
+    @pytest.mark.parametrize(
+        "config,flags",
+        [("configs/exact_recovery.json", []), ("configs/naq2_algorithms.json", ["--trial", "5"])],
+    )
+    def test_dump_is_the_public_stacked_pipeline(self, tmp_path, config, flags, algorithm,
+                                                 music):
+        """The dumped covariances, run through the library's stages, give every other
+        array of the dump bit for bit: the CLI, the library and the sweep share one path."""
+        path = tmp_path / "inner.npz"
+        assert main(["run", "--config", str(ROOT / config), "--algorithm", algorithm, *flags,
+                     "--dump-intermediates", str(path)]) == 0
+        with np.load(path) as data:
+            dump = {key: data[key] for key in data.files}
+        experiment = ExperimentConfig.from_file(ROOT / config)
+        signal = covariance_to_coarray(dump["covariances"], experiment.layout().base)
+        smoothed = spatial_smooth(signal)
+        subspaces = signal_subspace(smoothed, experiment.n_sources)
+        spectrum, estimate = music(subspaces, experiment.n_sources, experiment.grid_size)
+        assert dump["covariances"].shape == (experiment.n_subarrays, 7, 7)
+        assert np.array_equal(dump["coarray_lags"], signal.lags)
+        assert np.array_equal(dump["coarray_values"], signal.values)
+        assert np.array_equal(dump["smoothed"], smoothed.matrix)
+        assert np.array_equal(dump["signal_bases"], _fix_vector_phases(subspaces.signal_basis))
+        assert np.array_equal(dump["eigenvalues"], subspaces.eigenvalues)
+        assert np.array_equal(dump["spectrum_thetas"], spectrum.thetas)
+        assert np.array_equal(dump["spectrum_values"], spectrum.values)
+        assert np.array_equal(dump["estimates"], estimate.thetas)
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_direction_at_one_exits_one(self, capsys, config_path, tmp_path, command):

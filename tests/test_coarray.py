@@ -321,3 +321,22 @@ class TestStacks:
                 for field in ("signal_basis", "noise_basis", "eigenvalues"):
                     expected = np.stack([getattr(d, field) for d in loop])
                     assert np.array_equal(getattr(decomposition, field), expected)
+
+    @pytest.mark.parametrize("rule", ["average", "first"])
+    def test_value_at_gives_a_stack_one_value_per_subarray(self, rule):
+        base = build_nested2(4, 3)
+        stack = hermitian_stack(np.random.default_rng(43), 3, base.n_sensors)
+        signal = covariance_to_coarray(stack, base, rule)
+        for lag in signal.lags:
+            values = signal.value_at(lag)
+            assert values.shape == (3,)
+            for l, r in enumerate(stack):
+                assert values[l] == covariance_to_coarray(r, base, rule).value_at(lag)
+
+    def test_phase_fix_of_a_stack_is_the_stack_of_its_slices(self):
+        rng = np.random.default_rng(44)
+        vectors = np.linalg.eigh(hermitian_stack(rng, 6, 15))[1][..., ::-1]
+        vectors[1, 0, :] = 0.0  # anchors further down in one slice
+        stack = vectors.reshape(2, 3, 15, 15)
+        expected = np.stack([_fix_vector_phases(v) for v in vectors]).reshape(stack.shape)
+        assert np.array_equal(_fix_vector_phases(stack), expected)

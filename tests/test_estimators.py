@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsedoa import estimators
-from sparsedoa.coarray import covariance_to_coarray, signal_subspace, spatial_smooth
+from sparsedoa.coarray import (
+    SubspaceDecomposition,
+    covariance_to_coarray,
+    signal_subspace,
+    spatial_smooth,
+)
 from sparsedoa.errors import TooManySourcesError
 from sparsedoa.estimators import (
     DENOMINATOR_FLOOR,
@@ -30,16 +35,21 @@ from sparsedoa.sigmodel import SourceSet, exact_covariance, steering_matrix
 
 
 def exact_subspaces(thetas, n_subarrays=3, noise_power=1.0, power=1.0):
-    """Per-subarray decompositions from analytically exact covariances."""
+    """The decomposition stacked over the subarrays, from analytically exact covariances."""
     base = build_nested2(4, 3)
     layout = compose_type2(base, n_subarrays, 1)
     sources = SourceSet.equal_power(thetas, power=power)
-    subspaces = []
-    for l in range(n_subarrays):
-        r = exact_covariance(layout.subarray_positions(l), sources, noise_power)
-        smoothed = spatial_smooth(covariance_to_coarray(r, base))
-        subspaces.append(signal_subspace(smoothed, sources.count))
-    return layout, subspaces
+    covariances = exact_covariance(np.add.outer(layout.offsets, base.positions), sources,
+                                   noise_power)
+    smoothed = spatial_smooth(covariance_to_coarray(covariances, base))
+    return layout, signal_subspace(smoothed, sources.count)
+
+
+def subarrays(subspaces):
+    """Each subarray of a stacked decomposition, as a stack of one."""
+    fields = (subspaces.signal_basis, subspaces.noise_basis, subspaces.eigenvalues)
+    return [SubspaceDecomposition(*(f[l : l + 1] for f in fields))
+            for l in range(len(subspaces.signal_basis))]
 
 
 def random_orthonormal(rng, rows, cols):
@@ -94,11 +104,11 @@ class TestOnePath:
 
     def test_gca_spectrum_is_the_merged_projector_residual(self):
         _, subspaces = exact_subspaces(self.THETAS, noise_power=0.5)
-        projector = MergedProjector(tuple(s.signal_basis for s in subspaces))
-        m = subspaces[0].dimension
+        projector = MergedProjector(tuple(subspaces.signal_basis))
+        m = subspaces.dimension
         probes = np.array([-0.93, -0.61, -0.11, 0.0, 0.42, 0.77])  # away from sources
         for theta, value in zip(probes, gca_spectrum(subspaces, probes)):
-            stacked = np.tile(np.exp(1j * np.pi * np.arange(m) * theta), len(subspaces))
+            stacked = np.tile(np.exp(1j * np.pi * np.arange(m) * theta), len(projector.bases))
             assert value == pytest.approx(
                 1.0 / projector.complement_form(stacked), rel=1e-12
             )
@@ -191,12 +201,18 @@ class TestGcaMusic:
             gca_music(subspaces, 3)
 
     def test_inconsistent_decompositions_raise(self):
-        _, two = exact_subspaces((-0.4, 0.2))
-        _, three = exact_subspaces((-0.4, 0.2, 0.6))
-        with pytest.raises(ValueError):
-            gca_music((two[0], three[0]))
-        with pytest.raises(ValueError):
-            gca_music(())
+        """Only a stack of at least one subarray is accepted; per-subarray lists, which
+        could disagree with each other, are rejected, as is an empty stack."""
+        _, stack = exact_subspaces((-0.4, 0.2))
+        empty = SubspaceDecomposition(stack.signal_basis[:0], stack.noise_basis[:0],
+                                      stack.eigenvalues[:0])
+        for rejected in (subarrays(stack), empty, ()):
+            for estimate in (gca_music, avca_music):
+                with pytest.raises(ValueError):
+                    estimate(rejected)
+            for spectrum in (gca_spectrum, avca_spectrum):
+                with pytest.raises(ValueError):
+                    spectrum(rejected, (0.0,))
 
     def test_grid_snapped_estimates_land_on_grid(self):
         thetas = (-0.5, 0.5)
@@ -223,7 +239,7 @@ class TestAvcaMusic:
         probe = np.array([-0.8, -0.1, 0.2, 0.9])
         averaged = avca_spectrum(subspaces, probe)
         single = np.mean(
-            [avca_spectrum([s], probe) for s in subspaces], axis=0
+            [avca_spectrum(s, probe) for s in subarrays(subspaces)], axis=0
         )
         assert np.allclose(averaged, single, rtol=1e-12)
 

@@ -266,12 +266,9 @@ def library_estimates(layout, sources, noise_power, seed):
     """gca, avca and gmusic estimates of one draw, from the public pipeline."""
     scenario = Scenario(layout, sources, noise_power, 100)
     batch = simulate_snapshots(scenario, rng=np.random.default_rng(seed))
-    covariances = tuple(sample_covariance(batch.matrices))
+    covariances = sample_covariance(batch.matrices)
     d = sources.count
-    subspaces = [
-        signal_subspace(spatial_smooth(covariance_to_coarray(r, layout.base)), d)
-        for r in covariances
-    ]
+    subspaces = signal_subspace(spatial_smooth(covariance_to_coarray(covariances, layout.base)), d)
     return {
         "gca": gca_music(subspaces, d)[1].thetas,
         "avca": avca_music(subspaces, d)[1].thetas,
@@ -347,8 +344,8 @@ class TestRunTrial:
             for algorithm in ("gca", "gmusic", "avca"):
                 result = run_trial(config, -1500.0, algorithm, 0)
                 assert np.all(np.isfinite(result.estimate.thetas))
-                for s in result.artifacts.subspaces:
-                    assert np.all(np.isfinite(s.eigenvalues))
+                subspaces = result.artifacts.subspaces  # None for gmusic
+                assert subspaces is None or np.all(np.isfinite(subspaces.eigenvalues))
 
     def test_deterministic(self):
         config = small_config()
@@ -373,12 +370,11 @@ class TestRunTrial:
     def test_memoised_arrays_are_read_only(self, algorithm):
         config = small_config(thetas=(-0.5, 0.5))
         artifacts = run_trial(config, 10.0, algorithm, 0).artifacts
-        shared = [*artifacts.covariances,
-                  *(s.values for s in artifacts.coarray_signals),
-                  *(s.matrix for s in artifacts.smoothed),
-                  *(s.signal_basis for s in artifacts.subspaces),
-                  *(s.eigenvalues for s in artifacts.subspaces)]
-        assert len(shared) == (3 if algorithm == "gmusic" else 15)
+        shared = [artifacts.covariances]
+        if algorithm != "gmusic":
+            shared += [artifacts.coarray_signals.values, artifacts.smoothed.matrix,
+                       artifacts.subspaces.signal_basis, artifacts.subspaces.eigenvalues]
+        assert all(len(array) == 3 for array in shared)  # one row per subarray
         for array in shared:
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -387,20 +383,21 @@ class TestRunTrial:
         config = small_config()
         result = run_trial(config, 10.0, "gca", 0)
         artifacts = result.artifacts
-        assert len(artifacts.covariances) == 3
-        assert len(artifacts.coarray_signals) == 3
-        assert artifacts.smoothed[0].window == 15
+        assert artifacts.covariances.shape == (3, 7, 7)
+        assert len(artifacts.coarray_signals.values) == 3
+        assert artifacts.smoothed.window == 15
         assert artifacts.spectrum.values.size == config.grid_size
 
     def test_trials_never_build_the_smoothed_matrix(self):
         artifacts = run_trial(small_config(), 10.0, "gca", 0).artifacts
-        assert all("matrix" not in vars(s) for s in artifacts.smoothed)
+        assert "matrix" not in vars(artifacts.smoothed)
 
     def test_gmusic_skips_coarray_artifacts(self):
         config = small_config(thetas=(-0.5, 0.5))
         result = run_trial(config, 10.0, "gmusic", 0)
-        assert result.artifacts.coarray_signals == ()
-        assert result.artifacts.smoothed == ()
+        assert result.artifacts.coarray_signals is None
+        assert result.artifacts.smoothed is None
+        assert result.artifacts.subspaces is None
 
     def test_exact_mode_ignores_seed(self):
         config_a = small_config(exact=True, seed=1)
