@@ -8,13 +8,14 @@ rank covariance whose signal subspace matches a virtual uniform array of
 ``M = contiguous_half + 1`` sensors at positions ``0..M-1``.  That matrix is
 ``R_v R_v^H / M`` for the Hermitian Toeplitz matrix ``R_v`` of the central
 lag values (Liu & Vaidyanathan, IEEE SPL 2015), so the subspaces come from
-``R_v`` itself and the smoothed matrix is derived only on demand.
+``R_v`` itself, in real arithmetic since ``R_v`` is centro-Hermitian (Huarng &
+Yeh, IEEE TSP 1991), and the smoothed matrix is derived only on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,10 +38,6 @@ class CoarraySignal:
 
     lags: tuple[int, ...]
     values: np.ndarray
-
-    @property
-    def sdof(self) -> int:
-        return len(self.lags)
 
     @cached_property
     def contiguous_half(self) -> int:
@@ -150,9 +147,10 @@ def spatial_smooth(signal: CoarraySignal) -> SmoothedCovariance:
 class SubspaceDecomposition:
     """Eigendecomposition split into signal and noise subspaces.
 
-    Eigenvalues are sorted descending.  Eigenvectors keep the phase ``eigh``
-    gives them, since only ``U U^H`` enters a spectrum; the phase convention
-    of :func:`_fix_vector_phases` lives in the ``run --dump-intermediates`` dump.
+    Eigenvalues are sorted descending.  Eigenvectors keep the phase that ``eigh``
+    (or, for a smoothed covariance, the unitary map of its real eigenvectors) gives
+    them, since only ``U U^H`` enters a spectrum; the phase convention of
+    :func:`_fix_vector_phases` lives in the ``run --dump-intermediates`` dump.
     """
 
     signal_basis: np.ndarray
@@ -162,10 +160,6 @@ class SubspaceDecomposition:
     @property
     def dimension(self) -> int:
         return self.signal_basis.shape[-2]
-
-    @property
-    def n_sources(self) -> int:
-        return self.signal_basis.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the decomposed matrix from its eigenpairs."""
@@ -192,11 +186,34 @@ def _check_sources(n_sources: int, dim: int) -> None:
         )
 
 
+def _unitary_map(vectors: np.ndarray) -> np.ndarray:
+    """``Q @ vectors`` for :func:`_real_form_plan`'s Q: mirrored rows, no complex product."""
+    m = vectors.shape[-2] // 2
+    a, b = np.sqrt(0.5) * vectors[..., :m, :], np.sqrt(0.5) * vectors[..., -m:, :]
+    return np.concatenate([a + 1j * b, vectors[..., m:-m, :], (a - 1j * b)[..., ::-1, :]], axis=-2)
+
+
+@lru_cache(maxsize=None)
+def _real_form_plan(size: int):
+    """Per entry of the real ``Q^H T Q``, for the Hermitian Toeplitz ``T`` of first column
+    ``t``, the indices into ``[Re t, Im t]`` and the weights of its (at most two) terms.
+    ``Q``'s columns: the m = size // 2 sums ``(e_i + e_{size-1-i}) / sqrt 2``, ``e_m`` if
+    size is odd, then the m differences ``j (e_i - e_{size-1-i}) / sqrt 2``."""
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    ones = np.abs(lag) == np.arange(size)[:, None, None]
+    basis = np.concatenate([ones, 1j * np.sign(lag) * ones])
+    q = _unitary_map(np.eye(size))
+    weights = (q.conj().T @ basis @ q).real
+    index = np.argsort(-np.abs(weights), axis=0, kind="stable")[:2]
+    return index, np.take_along_axis(weights, index, 0)
+
+
 def signal_subspace(covariance, n_sources: int) -> SubspaceDecomposition:
     """Split a Hermitian covariance, or each of a stack of them, into signal and noise subspaces.
 
-    A :class:`SmoothedCovariance` is decomposed through ``R_v``: its eigenpairs
-    ranked by ``|lambda|`` are the smoothed matrix's, with eigenvalues ``lambda^2 / window``.
+    A :class:`SmoothedCovariance` is decomposed through the Hermitian Toeplitz
+    lower triangle of ``R_v``, as the real ``Re(Q^H R_v Q)``: its eigenpairs ranked
+    by ``|lambda|`` are the smoothed matrix's, with eigenvalues ``lambda^2 / window``.
 
     Args:
         covariance: :class:`SmoothedCovariance` or a plain Hermitian matrix
@@ -213,12 +230,15 @@ def signal_subspace(covariance, n_sources: int) -> SubspaceDecomposition:
     if matrix.ndim < 2 or matrix.shape[-2] != dim:
         raise ValueError("covariance must be square")
     _check_sources(n_sources, dim)
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     if smoothed:
+        index, weights = _real_form_plan(dim)  # lags 0..c: the lower triangle eigh reads
+        t = np.concatenate([matrix[..., :, 0].real, matrix[..., :, 0].imag], axis=-1)
+        eigenvalues, eigenvectors = np.linalg.eigh((t[..., index] * weights).sum(-3))
         order = np.argsort(-np.abs(eigenvalues), axis=-1, kind="stable")
         eigenvalues = np.take_along_axis(eigenvalues, order, -1) ** 2 / covariance.window
-        eigenvectors = np.take_along_axis(eigenvectors, order[..., None, :], -1)
+        eigenvectors = _unitary_map(np.take_along_axis(eigenvectors, order[..., None, :], -1))
     else:
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
         eigenvalues, eigenvectors = eigenvalues[..., ::-1], eigenvectors[..., ::-1]
     return SubspaceDecomposition(
         signal_basis=eigenvectors[..., :n_sources],

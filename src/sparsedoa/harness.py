@@ -11,8 +11,8 @@ key, so competing algorithms see identical data in matched trials, and the
 worker count never changes any draw.
 
 A sweep walks each geometry's draws in (SNR, trial) order, in blocks of a
-few draws.  Each draw is simulated on its own; from the stack of the
-block's covariances on, every stage (coarray, smoothing, subspaces, the
+few draws.  Only each draw's keyed generators run on their own; every stage
+(the snapshot arithmetic, covariances, coarray, smoothing, subspaces, the
 lag-domain spectra and the peak search) runs once per block, and ``gca`` and
 ``avca`` share one stack of subspaces and deficits.  ``run_trial`` reads a
 trial's row of the block in flight, or runs the same stages on a block of its
@@ -193,7 +193,7 @@ class ExperimentConfig:
     exact: bool = False
 
     def __post_init__(self):
-        # ``_scenario`` and ``_installed`` key on the config: normalise every field to a hashable.
+        # The memos and ``_installed`` key on the config: normalise every field to a hashable.
         geometries = _sequence("geometries", self.geometries)
         object.__setattr__(self, "geometries", tuple(
             g if isinstance(g, GeometrySpec) else _named("geometries", GeometrySpec, g)
@@ -324,8 +324,9 @@ def rmse(squared_errors, n_sources: int) -> float:
     return float(np.sqrt(np.sum(errors) / (n_sources * len(errors))))
 
 
-#: A block holds at most this many deficit values, (draws * L) x grid, so memory
-#: stays bounded for any grid size: 8 draws at L = 3 and 2001 grid points.
+#: A block holds at most this many deficit values, (draws * L) x grid, and snapshot
+#: values, (draws * L) x N x T, so memory stays bounded for any grid size and
+#: snapshot count: 8 draws at L = 3, 2001 grid points and N * T <= 2001.
 _BLOCK_VALUES = 49_152
 
 #: Each algorithm's rule for merging its per-subarray deficits into a spectrum.
@@ -342,12 +343,17 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=1)
+def _geometry(config: ExperimentConfig, geometry_index: int):
+    """The layout and sources of every draw on one geometry.  The memo holds one geometry."""
+    return config.layout(geometry_index), config.source_set()
+
+
+@lru_cache(maxsize=1)
 def _scenario(config: ExperimentConfig, snr_db: float, geometry_index: int):
     """What every draw of one (geometry, SNR) group shares: its scenario and, with
     ``exact``, its covariance stack (else None).  The memo holds one group."""
     (noise_power,) = _noise_powers("snr_db", [snr_db])
-    scenario = Scenario(config.layout(geometry_index), config.source_set(), noise_power,
-                        config.snapshots)
+    scenario = Scenario(*_geometry(config, geometry_index), noise_power, config.snapshots)
     if not config.exact:
         return scenario, None
     positions = np.add.outer(scenario.layout.offsets, scenario.layout.base.positions)
@@ -369,19 +375,16 @@ def _run_stages(config: ExperimentConfig, geometry_index: int, draws, algorithms
     """``algorithms`` on the keyed ``draws``, (SNR, trial index) pairs of one geometry:
     one ``{algorithm: TrialResult}`` per draw, whose artifacts are its rows of the stacks.
 
-    Each draw is simulated on its own; from the ``(draws, L, N, N)`` stack of
-    their covariances on, every stage runs once.  The stacks are read-only.
+    Only the keyed generators run per draw; every stage runs once on the block,
+    ``simulate_snapshots`` included.  The stacks are read-only.
     """
-    covariances = []
-    for snr_db, trial_index in draws:
-        scenario, covariance = _scenario(config, snr_db, geometry_index)
-        if covariance is None:
-            keys = trial_seed_sequence(config.seed, geometry_index, snr_db, trial_index)
-            batch = simulate_snapshots(scenario, rng=np.random.default_rng(keys))
-            covariance = sample_covariance(batch.matrices)
-        covariances.append(covariance)
-    covariances = np.stack(covariances)
-    base, d = scenario.layout.base, scenario.sources.count
+    scenarios, exact = zip(*[_scenario(config, snr_db, geometry_index) for snr_db, _ in draws])
+    if config.exact:
+        covariances = np.stack(exact)
+    else:
+        keys = [trial_seed_sequence(config.seed, geometry_index, *draw) for draw in draws]
+        covariances = sample_covariance(simulate_snapshots(scenarios, keys).matrices)
+    base, d = scenarios[0].layout.base, scenarios[0].sources.count
     views = [(None,) * 3] * len(draws)
     stages, estimates = [], {}
     names = [name for name in ("gca", "avca") if name in algorithms]
@@ -400,7 +403,7 @@ def _run_stages(config: ExperimentConfig, geometry_index: int, draws, algorithms
         rules = [_RULES[name] for name in names]
         estimates.update(zip(names, _grid_estimates(rules, bases, positions, config.grid_size)))
     _read_only(covariances)
-    grid, truth = grid_thetas(config.grid_size), scenario.sources.theta_array
+    grid, truth = grid_thetas(config.grid_size), scenarios[0].sources.theta_array
     results = [{} for _ in draws]
     for name, (values, thetas, peak_values, degraded) in estimates.items():
         for row, found in enumerate(results):
@@ -472,9 +475,9 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
     """Run every (geometry, algorithm, SNR) cell of the config.
 
     The sweep walks each geometry's draws in (SNR, trial) order, in blocks of
-    at most ``_BLOCK_VALUES // (L * grid_size)`` draws, so a block may span
-    SNRs.  Each draw is simulated once and every later stage runs once per
-    block; every algorithm reads the same draw, so matched trials see
+    at most ``_BLOCK_VALUES // (L * max(grid_size, N * T))`` draws, so a
+    block may span SNRs.  Each draw is simulated once, and every stage runs
+    once per block; every algorithm reads the same draw, so matched trials see
     identical data.  An algorithm that cannot identify the sources on a
     geometry is found before anything is simulated, and its cells report
     every trial failed.  Blocks are independent, so ``workers`` spreads them
@@ -501,7 +504,6 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
     layouts = [_named("geometries", config.layout, gi) for gi in range(len(config.geometries))]
     if out_path is not None:
         open(out_path, "a").close()
-    size = max(1, _BLOCK_VALUES // (config.n_subarrays * config.grid_size))
     draws = [(si, t) for si in range(len(config.snr_db_list)) for t in range(config.trials)]
     cells = {}
     tasks = []
@@ -516,6 +518,8 @@ def sweep(config: ExperimentConfig, out_path=None, workers: int = 1) -> list[Rms
             except (TooManySourcesError, DegenerateCoarrayError):
                 pass
         if positions:
+            values = max(config.grid_size, layout.base.n_sensors * config.snapshots)
+            size = max(1, _BLOCK_VALUES // (config.n_subarrays * values))
             tasks += [(gi, positions, draws[i : i + size]) for i in range(0, len(draws), size)]
     runner = partial(_run_block, config)
     if workers == 1:

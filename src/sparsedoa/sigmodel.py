@@ -150,19 +150,19 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SnapshotBatch:
-    """Simulated data: an ``(L, n_sensors, snapshots)`` stack, one matrix per subarray."""
+    """Simulated data: an ``(L, n_sensors, snapshots)`` stack (``(B, L, ...)`` for a block)."""
 
     matrices: np.ndarray
     phase_shifts: np.ndarray
 
 
 def simulate_snapshots(
-    scenario: Scenario,
-    rng: np.random.Generator | None = None,
+    scenario: Scenario | list[Scenario],
+    rng=None,
     phases=None,
     pin_reference_phase: bool = False,
 ) -> SnapshotBatch:
-    """Draw one batch of snapshots for every subarray of the scenario.
+    """Draw one batch of snapshots for every subarray of the scenario, or a block of batches.
 
     The source waveforms are shared across subarrays at each snapshot; noise
     is drawn independently per subarray.  Each subarray's data is rotated by
@@ -172,9 +172,14 @@ def simulate_snapshots(
     circular Gaussian noise is rotation invariant, and makes every covariance
     computed downstream independent of the offsets.
 
+    A block of B scenarios, which may differ only in noise power, runs just the
+    random draws per scenario and the rest once: its ``(B, L, n_sensors,
+    snapshots)`` matrices and ``(B, L)`` phase shifts are B one-scenario calls'.
+
     Args:
-        scenario: what to simulate.
-        rng: generator to consume; defaults to one seeded from the scenario.
+        scenario: what to simulate, or the scenarios of a block.
+        rng: generator to consume, or a ``SeedSequence`` that spawns as ``default_rng``
+            of it would; one per scenario for a block.  Defaults to the scenario's seed.
             Signal, noise, and phase draws come from independent child
             streams spawned off this generator, so pinning ``phases`` never
             shifts the signal or noise realizations.  The signal stream yields
@@ -184,28 +189,39 @@ def simulate_snapshots(
         pin_reference_phase: zero the first subarray's drawn offset, for
             experiments that treat subarray 0 as the calibration reference.
     """
-    if rng is None:
-        rng = np.random.default_rng(scenario.seed)
-    signal_rng, noise_rng, phase_rng = rng.spawn(3)
-
-    sources = scenario.sources
-    n_sub, n_sensors, _ = scenario.steering.shape
-
-    if phases is None:
-        offsets = phase_rng.uniform(0.0, 2.0 * np.pi, n_sub)
-        if pin_reference_phase:
-            offsets[0] = 0.0
-    else:
-        offsets = np.asarray(phases, dtype=np.float64)
-        if offsets.shape != (n_sub,):
-            raise ValueError(f"expected {n_sub} phase offsets, got shape {offsets.shape}")
-
-    signal = signal_rng.standard_normal((2, sources.count, scenario.snapshots))
-    waveforms = np.sqrt(0.5) * (signal[0] + 1j * signal[1]) * np.sqrt(sources.power_array)[:, None]
-    noise = noise_rng.standard_normal((n_sub, 2, n_sensors, scenario.snapshots))
-    noise = np.sqrt(scenario.noise_power / 2.0) * (noise[:, 0] + 1j * noise[:, 1])
-    rotations = np.exp(-1j * offsets)[:, None, None]
-    return SnapshotBatch(rotations * (scenario.steering @ waveforms + noise), offsets)
+    if isinstance(scenario, Scenario):
+        batch = simulate_snapshots([scenario], [rng], phases, pin_reference_phase)
+        return SnapshotBatch(batch.matrices[0], batch.phase_shifts[0])
+    scenarios = list(scenario)
+    if len({(s.layout, s.sources, s.snapshots) for s in scenarios}) != 1:
+        raise ValueError("a block needs scenarios that differ at most in noise power")
+    first = scenarios[0]
+    n_sub, n_sensors, n_sources = first.steering.shape
+    phases = None if phases is None else np.asarray(phases, dtype=np.float64)
+    if phases is not None and phases.shape != (n_sub,):
+        raise ValueError(f"expected {n_sub} phase offsets, got shape {phases.shape}")
+    signal = np.empty((len(scenarios), 2, n_sources, first.snapshots))
+    noise = np.empty((len(scenarios), n_sub, 2, n_sensors, first.snapshots))
+    offsets = np.empty((len(scenarios), n_sub))
+    for row, (s, r) in enumerate(zip(scenarios, rng, strict=True)):
+        if isinstance(r, np.random.SeedSequence):  # as default_rng(r).spawn(3) would
+            signal_rng, noise_rng, phase_rng = map(np.random.default_rng, r.spawn(3))
+        else:
+            signal_rng, noise_rng, phase_rng = (r or np.random.default_rng(s.seed)).spawn(3)
+        signal_rng.standard_normal(out=signal[row])
+        noise_rng.standard_normal(out=noise[row])
+        offsets[row] = phase_rng.uniform(0.0, 2.0 * np.pi, n_sub) if phases is None else phases
+    if phases is None and pin_reference_phase:
+        offsets[:, 0] = 0.0
+    amplitudes = np.sqrt(first.sources.power_array)[:, None]
+    waveforms = np.sqrt(0.5) * (signal[:, 0] + 1j * signal[:, 1]) * amplitudes
+    noise *= np.sqrt(np.array([s.noise_power for s in scenarios]) / 2.0)[:, None, None, None, None]
+    # In place, in the order of ``rotations * (steering @ waveforms + noise)``.
+    matrices = first.steering @ waveforms[:, None]
+    matrices.real += noise[:, :, 0]
+    matrices.imag += noise[:, :, 1]
+    np.multiply(np.exp(-1j * offsets)[..., None, None], matrices, out=matrices)
+    return SnapshotBatch(matrices, offsets)
 
 
 def sample_covariance(snapshots: np.ndarray) -> np.ndarray:

@@ -4,10 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sparsedoa.cli import main
 from sparsedoa.coarray import (
+    SmoothedCovariance,
     _fix_vector_phases,
+    _real_form_plan,
+    _unitary_map,
     covariance_to_coarray,
     signal_subspace,
     spatial_smooth,
@@ -287,6 +292,93 @@ class TestSignalSubspace:
         decomposition = signal_subspace(r, 1)
         assert decomposition.eigenvalues[0] == pytest.approx(3.0)
         assert np.allclose(np.abs(decomposition.signal_basis[:, 0]), [1, 0, 0])
+
+
+def toeplitz_root(column, upper):
+    """A root whose lower triangle is the Toeplitz matrix of ``column`` (lags 0..M-1)
+    and whose strict upper triangle is ``upper``'s, which no decomposition may read."""
+    lag = np.subtract.outer(np.arange(column.shape[-1]), np.arange(column.shape[-1]))
+    return np.where(lag >= 0, column[..., np.abs(lag)], upper)
+
+
+def ranked_eigh(root):
+    """Complex ``eigh`` of the lower triangle, ranked by ``|lambda|`` as smoothing ranks."""
+    values, vectors = np.linalg.eigh(root)
+    order = np.argsort(-np.abs(values), axis=-1, kind="stable")
+    return (np.take_along_axis(values, order, -1),
+            np.take_along_axis(vectors, order[..., None, :], -1))
+
+
+def assert_matches_complex_eigh(root, n_sources):
+    """The real decomposition of a smoothing root against complex ``eigh``: signal
+    projectors to 1e-12, and eigenvalues ``lambda^2 / M`` to a relative 1e-12."""
+    values, vectors = ranked_eigh(root)
+    found = signal_subspace(SmoothedCovariance(root), n_sources)
+    u, v = found.signal_basis, vectors[..., :n_sources]
+    projector = v @ v.conj().swapaxes(-1, -2)
+    np.testing.assert_allclose(u @ u.conj().swapaxes(-1, -2), projector, rtol=0, atol=1e-12)
+    expected = values**2 / root.shape[-1]
+    np.testing.assert_allclose(found.eigenvalues, expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+
+
+class TestRealForm:
+    """Smoothing roots are decomposed as the real ``Re(Q^H T Q)`` of their Toeplitz
+    lower triangle T; complex ``eigh`` of that triangle is the reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(size=st.integers(2, 32), count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @example(size=24, count=2, seed=1)
+    @example(size=25, count=2, seed=2)
+    @example(size=26, count=1, seed=3)
+    @example(size=31, count=3, seed=4)
+    def test_hermitian_toeplitz_stacks(self, size, count, seed):
+        rng = np.random.default_rng(seed)
+        column = rng.standard_normal((count, size)) + 1j * rng.standard_normal((count, size))
+        upper = 1j * rng.standard_normal((count, size, size))
+        root = toeplitz_root(column, upper)
+        magnitudes = np.abs(ranked_eigh(root)[0])
+        gaps = (magnitudes[..., :-1] - magnitudes[..., 1:]).min(0)
+        n_sources = int(np.argmax(gaps)) + 1
+        assume(gaps[n_sources - 1] > 1e-3 * magnitudes.max())
+        assert_matches_complex_eigh(root, n_sources)
+
+    @settings(max_examples=80, deadline=None)
+    @given(size=st.integers(2, 32), data=st.data())
+    @example(size=30, data=None)
+    @example(size=25, data=None)
+    def test_exact_covariances_with_equal_noise_eigenvalues(self, size, data):
+        """``A P A^H + noise I`` on the virtual array: M - D equal noise eigenvalues."""
+        if data is None:
+            slots, powers, noise = np.arange(0, size, 3), 1.0, 0.25
+        else:
+            slots = np.array(sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1,
+                                                      max_size=size - 1))))
+            powers = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=slots.size,
+                                                 max_size=slots.size)))
+            noise = data.draw(st.floats(1e-3, 1.0))
+        thetas = -1.0 + 2.0 * slots / size  # mutually orthogonal steering vectors
+        lags = np.arange(size)
+        column = np.sum(powers * np.exp(1j * np.pi * lags[:, None] * thetas), axis=-1)
+        column[0] += noise
+        assert_matches_complex_eigh(toeplitz_root(column, 0.0)[None], slots.size)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 7, 15, 18, 24, 25, 26, 30, 31, 32])
+    def test_the_unitary_makes_the_toeplitz_matrix_real(self, size):
+        rng = np.random.default_rng(size)
+        column = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        column[0] = column[0].real
+        lower = toeplitz_root(column, 0.0)
+        t = lower + np.tril(lower, -1).conj().T
+        q = _unitary_map(np.eye(size))
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(size), rtol=0, atol=1e-15)
+        h = q.conj().T @ t @ q
+        norm = np.linalg.norm(t)
+        assert np.abs(h.imag).max() <= 1e-15 * norm
+        index, weights = _real_form_plan(size)
+        real_form = (np.concatenate([column.real, column.imag])[index] * weights).sum(0)
+        np.testing.assert_allclose(real_form, h.real, rtol=0, atol=1e-15 * norm)
+        assert np.array_equal(real_form, real_form.T)
 
 
 def hermitian_stack(rng, count, n):

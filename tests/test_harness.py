@@ -462,19 +462,26 @@ def cell_references(config):
     ]
 
 
+def draws_carried(batch):
+    """How many draws a ``simulate_snapshots`` result holds: one per row of a block."""
+    return len(batch.phase_shifts) if batch.phase_shifts.ndim == 2 else 1
+
+
 class TestDrawSharing:
     @pytest.fixture
     def counters(self, monkeypatch):
+        """Draws simulated (a block call carries several) and decomposition calls."""
         calls = {"simulate": 0, "subspace": 0}
 
-        def counted(name, fn):
+        def counted(name, fn, count=lambda result: 1):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+                result = fn(*args, **kwargs)
+                calls[name] += count(result)
+                return result
             return wrapper
 
         monkeypatch.setattr(harness, "simulate_snapshots",
-                            counted("simulate", harness.simulate_snapshots))
+                            counted("simulate", harness.simulate_snapshots, draws_carried))
         monkeypatch.setattr(harness, "signal_subspace",
                             counted("subspace", harness.signal_subspace))
         return calls
@@ -544,6 +551,22 @@ class TestBlocks:
                               algorithms=harness.ALGORITHMS, trials=trials, exact=exact)
         assert sweep(config) == cell_references(config)
 
+    def test_blocks_bound_their_snapshot_values(self, monkeypatch):
+        """A small grid does not let a block hold every draw: at 3 subarrays of 7 sensors
+        and 1000 snapshots, 2 draws fill a block."""
+        sizes = []
+        run_block = harness._run_block
+
+        def recorded(config, task):
+            sizes.append(len(task[2]))
+            return run_block(config, task)
+
+        monkeypatch.setattr(harness, "_run_block", recorded)
+        config = small_config(grid_size=3, snapshots=1000, snr_db_list=(0.0, 10.0), trials=3)
+        curves = sweep(config)
+        assert sizes == [harness._BLOCK_VALUES // (3 * 7 * 1000)] * 3 == [2, 2, 2]
+        assert curves == cell_references(config)
+
     def test_blocks_spanning_signed_zero_and_repeated_snrs(self):
         config = small_config(algorithms=("avca", "gmusic", "gca", "avca"),
                               snr_db_list=(0.0, -0.0, 10.0, 0.0), trials=BLOCK // 2 + 1)
@@ -565,8 +588,13 @@ class TestBlocks:
     def test_unidentifiable_cells_simulate_nothing(self, monkeypatch):
         simulated = []
         simulate = harness.simulate_snapshots
-        monkeypatch.setattr(harness, "simulate_snapshots",
-                            lambda *args, **kw: simulated.append(1) or simulate(*args, **kw))
+
+        def counted(*args, **kwargs):
+            batch = simulate(*args, **kwargs)
+            simulated.extend([1] * draws_carried(batch))
+            return batch
+
+        monkeypatch.setattr(harness, "simulate_snapshots", counted)
         seven = tuple(np.linspace(-0.8, 0.8, 7))  # as many sources as naq2-4-3 has sensors
         (curve,) = sweep(small_config(thetas=seven, algorithms=("gmusic",), trials=3))
         assert simulated == []

@@ -303,6 +303,58 @@ class TestStackedDrawMatchesLoop:
         assert np.array_equal(batch.phase_shifts, offsets)
 
 
+def keyed(trial):
+    """A fresh keyed SeedSequence, as a sweep builds one per trial."""
+    return np.random.SeedSequence(7, spawn_key=(1, 4607182418800017408, trial))
+
+
+class TestBlockDraw:
+    """A block runs only each draw's keyed generators on their own; the rest runs once."""
+
+    @pytest.mark.parametrize("n_subarrays", [1, 3])
+    @pytest.mark.parametrize("phase_mode", ["free", "pinned", "explicit"])
+    def test_block_equals_one_draw_calls_bit_for_bit(self, n_subarrays, phase_mode):
+        """Five draws at two noise powers: a block that spans two SNRs."""
+        kwargs = {
+            "free": {},
+            "pinned": {"pin_reference_phase": True},
+            "explicit": {"phases": np.linspace(0.2, 2.9, n_subarrays)},
+        }[phase_mode]
+        scenarios = [make_scenario(n_subarrays=n_subarrays, noise_power=power, snapshots=37)
+                     for power in (0.3, 0.3, 0.3, 2.5, 2.5)]
+        block = simulate_snapshots(scenarios, [keyed(t) for t in range(5)], **kwargs)
+        covariances = sample_covariance(block.matrices)
+        assert covariances.shape == (5, n_subarrays, 7, 7)
+        assert block.phase_shifts.shape == (5, n_subarrays)
+        for row, scenario in enumerate(scenarios):
+            one = simulate_snapshots(scenario, rng=np.random.default_rng(keyed(row)), **kwargs)
+            assert np.array_equal(block.matrices[row], one.matrices)
+            assert np.array_equal(covariances[row], sample_covariance(one.matrices))
+            assert np.array_equal(block.phase_shifts[row], one.phase_shifts)
+
+    def test_a_seed_sequence_spawns_the_streams_of_its_default_rng(self):
+        """A block builds a draw's three generators straight from its SeedSequence:
+        the children that ``default_rng(keys).spawn(3)`` gives, without the parent."""
+        direct = [np.random.default_rng(child) for child in keyed(3).spawn(3)]
+        spawned = np.random.default_rng(keyed(3)).spawn(3)
+        for a, b in zip(direct, spawned, strict=True):
+            assert a.bit_generator.state == b.bit_generator.state
+            assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
+        scenario = make_scenario()
+        from_keys = simulate_snapshots(scenario, keyed(3))
+        from_generator = simulate_snapshots(scenario, np.random.default_rng(keyed(3)))
+        assert np.array_equal(from_keys.matrices, from_generator.matrices)
+
+    def test_a_block_rejects_mixed_scenarios_and_missing_generators(self):
+        with pytest.raises(ValueError, match="noise power"):
+            simulate_snapshots([make_scenario(), make_scenario(snapshots=50)],
+                               [keyed(0), keyed(1)])
+        with pytest.raises(ValueError, match="noise power"):
+            simulate_snapshots([], [])
+        with pytest.raises(ValueError):
+            simulate_snapshots([make_scenario(), make_scenario()], [keyed(0)])
+
+
 class TestSampleCovariance:
     def test_hermitian(self):
         rng = np.random.default_rng(1)
